@@ -1,7 +1,8 @@
 // Shared plumbing for the figure/table reproduction harness. Every bench
-// binary prints the rows/series of one table or figure from the paper's
-// evaluation (Section 5 / Appendix F); EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// binary prints to stdout the rows/series of one table or figure from the
+// paper's evaluation (Section 5 / Appendix F): a "=== Fig. N / Table N ==="
+// header, the measured rows per dataset, and a closing shape check or the
+// paper's own numbers to compare against.
 //
 // Environment knobs (all optional):
 //   RABITQ_BENCH_SCALE    dataset size multiplier vs the built-in laptop

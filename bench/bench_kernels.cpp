@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +43,9 @@ namespace {
 constexpr std::size_t kDim = 128;   // SIFT-like
 constexpr std::size_t kBits = 128;  // RaBitQ code length
 constexpr std::size_t kScanCodes = 4096;  // 128 full blocks per "list"
+// Unpruned assembly: +inf threshold (no lower bound exceeds it), all lanes.
+constexpr float kNoPrune = std::numeric_limits<float>::infinity();
+constexpr std::uint32_t kAllLanes = 0xFFFFFFFFu;
 
 // Keeps results alive across optimization like benchmark::DoNotOptimize.
 volatile float g_sink_f = 0.0f;
@@ -174,9 +178,10 @@ void RunAssemblyBenches(const ScanFixture& fx, std::vector<Row>* rows,
       [&] {
         for (std::size_t b = 0; b < num_blocks; ++b) {
           const std::size_t begin = b * kFastScanBlockSize;
-          EstimateBlockFusedScalar(fx.query, fx.store, b,
-                                   fx.sums.data() + begin, eps0,
-                                   est.data() + begin, lb.data() + begin);
+          EstimateBlockFusedPrunedScalar(fx.query, fx.store, b,
+                                         fx.sums.data() + begin, eps0, kNoPrune,
+                                         /*dead=*/nullptr, est.data() + begin,
+                                         lb.data() + begin, kAllLanes);
         }
         g_sink_f = g_sink_f + est[0] + lb[kScanCodes - 1];
       },
@@ -187,8 +192,10 @@ void RunAssemblyBenches(const ScanFixture& fx, std::vector<Row>* rows,
       [&] {
         for (std::size_t b = 0; b < num_blocks; ++b) {
           const std::size_t begin = b * kFastScanBlockSize;
-          EstimateBlockFused(fx.query, fx.store, b, fx.sums.data() + begin,
-                             eps0, est.data() + begin, lb.data() + begin);
+          EstimateBlockFusedPruned(fx.query, fx.store, b,
+                                   fx.sums.data() + begin, eps0, kNoPrune,
+                                   /*dead=*/nullptr, est.data() + begin,
+                                   lb.data() + begin, kAllLanes);
         }
         g_sink_f = g_sink_f + est[0] + lb[kScanCodes - 1];
       },
@@ -214,9 +221,11 @@ void RunScanBenches(const ScanFixture& fx, std::vector<Row>* rows,
     for (std::size_t b = 0; b < num_blocks; ++b) {
       FastScanAccumulateBlock(packed.BlockPtr(b), packed.num_segments,
                               fx.query.luts.data(), sums);
-      EstimateBlockFusedScalar(fx.query, fx.store, b, sums, eps0,
-                               est.data() + b * kFastScanBlockSize,
-                               lb.data() + b * kFastScanBlockSize);
+      EstimateBlockFusedPrunedScalar(fx.query, fx.store, b, sums, eps0,
+                                     kNoPrune, /*dead=*/nullptr,
+                                     est.data() + b * kFastScanBlockSize,
+                                     lb.data() + b * kFastScanBlockSize,
+                                     kAllLanes);
     }
   }
   std::vector<float> sorted_lb = lb;

@@ -1,9 +1,7 @@
 #include "core/estimator.h"
 
 #include <algorithm>
-#include <cfloat>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -416,24 +414,6 @@ DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
   return Assemble(query, code, s, /*epsilon0=*/0.0f, /*unbias=*/false);
 }
 
-void EstimateBlockFused(const QuantizedQuery& query,
-                        const RabitqCodeStore& store, std::size_t block,
-                        const std::uint32_t* sums, float epsilon0,
-                        float* dist_sq, float* lower_bounds) {
-  FusedBlockDispatch(query, store, block, sums, epsilon0, FLT_MAX, dist_sq,
-                     lower_bounds);
-}
-
-void EstimateBlockFusedScalar(const QuantizedQuery& query,
-                              const RabitqCodeStore& store, std::size_t block,
-                              const std::uint32_t* sums, float epsilon0,
-                              float* dist_sq, float* lower_bounds) {
-  const std::size_t begin = block * kFastScanBlockSize;
-  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
-  FusedBlockScalar(query, store, begin, sums, count, epsilon0, FLT_MAX,
-                   dist_sq, lower_bounds);
-}
-
 std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
                                        const RabitqCodeStore& store,
                                        std::size_t block,
@@ -578,32 +558,6 @@ void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block) {
 #endif
 }
 
-void EstimateBlock(const QuantizedQuery& query, const RabitqCodeStore& store,
-                   std::size_t block, float epsilon0, float* dist_sq,
-                   float* lower_bounds) {
-  const FastScanCodes& packed = store.packed();
-  std::uint32_t s[kFastScanBlockSize];
-  FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
-                          query.luts.data(), s);
-  const std::size_t begin = block * kFastScanBlockSize;
-  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
-  if (count == kFastScanBlockSize) {
-    EstimateBlockFused(query, store, block, s, epsilon0, dist_sq,
-                       lower_bounds);
-    return;
-  }
-  // Partial tail: this entry point promises to write exactly `count`
-  // entries, so assemble into block-sized temporaries and copy.
-  float tmp_dist[kFastScanBlockSize];
-  float tmp_lb[kFastScanBlockSize];
-  EstimateBlockFused(query, store, block, s, epsilon0, tmp_dist,
-                     lower_bounds == nullptr ? nullptr : tmp_lb);
-  std::memcpy(dist_sq, tmp_dist, count * sizeof(float));
-  if (lower_bounds != nullptr) {
-    std::memcpy(lower_bounds, tmp_lb, count * sizeof(float));
-  }
-}
-
 void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds) {
   if (!query.has_exact_luts || !store.finalized()) {
@@ -616,12 +570,19 @@ void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
     }
     return;
   }
-  const std::size_t num_blocks = store.packed().num_blocks;
-  for (std::size_t block = 0; block < num_blocks; ++block) {
+  // No pruning here (+inf threshold); the dispatcher's scalar tail writes
+  // exactly the partial block's lanes, so results land in place.
+  const FastScanCodes& packed = store.packed();
+  std::uint32_t sums[kFastScanBlockSize];
+  for (std::size_t block = 0; block < packed.num_blocks; ++block) {
     const std::size_t begin = block * kFastScanBlockSize;
     PrefetchBlockData(store, block + 1);
-    EstimateBlock(query, store, block, epsilon0, dist_sq + begin,
-                  lower_bounds == nullptr ? nullptr : lower_bounds + begin);
+    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
+                            query.luts.data(), sums);
+    float* const lb = lower_bounds == nullptr ? nullptr : lower_bounds + begin;
+    FusedBlockDispatch(query, store, block, sums, epsilon0,
+                       std::numeric_limits<float>::infinity(), dist_sq + begin,
+                       lb);
   }
 }
 

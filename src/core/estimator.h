@@ -13,10 +13,15 @@
 // product -<o_r, q_r>, with the halved f_cross doubling as the IP-analogue
 // error half-width. The two exact edge blends (q_dist == 0, d == 0) are
 // L2-only and gated on query.metric identically in every path.
-// Two execution paths:
-//   * single code: B_q bitwise and+popcount passes (Eq. 22),
-//   * packed batch of 32 codes: the shared fast-scan kernel (Section 3.3.2)
-//     followed by the fused float assembly below.
+// Two execution paths, each with one entry point per code width:
+//   * single code, B_q bitwise and+popcount passes (Eq. 22):
+//     EstimateDistance (1-bit) and EstimateDistanceMulti (B_d-bit), plus
+//     EstimateDistanceBiased, the uncorrected Table 7 ablation;
+//   * packed block of 32 codes, the shared fast-scan kernel (Section 3.3.2)
+//     then a fused float assembly: EstimateBlockFusedPruned (1-bit) and
+//     EstimateBlockMultiPruned (the B_d-bit refine, fed by
+//     AccumulateMultiBlockSums), each with a bit-exact *Scalar reference.
+// EstimateAll / EstimateAllMulti run the block path over a whole store.
 //
 // The assembly consumes the factors precomputed at append time by
 // RabitqCodeStore (f_sq, f_cross, f_inv_oo, f_err), so per lane it is four
@@ -61,45 +66,25 @@ DistanceEstimate EstimateDistance(const QuantizedQuery& query,
 DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
                                         const RabitqCodeView& code);
 
-/// Batch estimation over one packed fast-scan block (32 codes). Writes
-/// estimated squared distances for codes [block*32, block*32 + count) and,
-/// when `lower_bounds` is non-null, their eps0 lower bounds. Requires
-/// query.has_exact_luts (B_q <= 6) and store.finalized().
-void EstimateBlock(const QuantizedQuery& query, const RabitqCodeStore& store,
-                   std::size_t block, float epsilon0, float* dist_sq,
-                   float* lower_bounds);
-
-/// Fused assembly over one block given the 32 fast-scan sums `sums` (from
-/// FastScanAccumulateBlock): estimated squared distances and, when
-/// `lower_bounds` is non-null, eps0 lower bounds. Output buffers must hold
-/// kFastScanBlockSize floats -- a full block is stored 8 lanes at a time,
-/// and lanes past size() on the tail block are unspecified (the SIMD path
-/// may write garbage there, the scalar path leaves them untouched).
-/// AVX2+FMA when available, bit-identical to the scalar reference.
-void EstimateBlockFused(const QuantizedQuery& query,
-                        const RabitqCodeStore& store, std::size_t block,
-                        const std::uint32_t* sums, float epsilon0,
-                        float* dist_sq, float* lower_bounds);
-
-/// Bit-exact scalar reference for EstimateBlockFused (mirrors the kernel's
-/// per-lane operation order with explicit std::fma).
-void EstimateBlockFusedScalar(const QuantizedQuery& query,
-                              const RabitqCodeStore& store, std::size_t block,
-                              const std::uint32_t* sums, float epsilon0,
-                              float* dist_sq, float* lower_bounds);
-
-/// In-kernel pruning variant for the kErrorBound policy: assembles the block
-/// like EstimateBlockFused (same buffer contract, both buffers written) and
-/// returns a survivors bitmask -- bit k set iff lane k is a real code
-/// (k < count for a tail block), is not tombstoned (`dead`, 32 flags for
-/// this block, may be null when the list has no tombstones), is allowed by
-/// `lane_mask` (bit k clear drops lane k -- the per-query IdFilter's
-/// pushdown, all-ones when unfiltered) and its lower bound does not exceed
-/// `prune_threshold` (the caller's current top-k threshold; pass +infinity
-/// -- NOT FLT_MAX -- to disable pruning, e.g. while the heap is still
-/// filling: a lower bound that overflowed to +inf must survive then, and
-/// only `> inf` guarantees that). The caller walks set bits only, fusing
-/// candidate selection into the scan.
+/// Fused assembly over one packed fast-scan block (32 codes) given its
+/// fast-scan sums `sums` (from FastScanAccumulateBlock): writes estimated
+/// distances and eps0 lower bounds (`lower_bounds` may be null) and returns
+/// a survivors bitmask. Output buffers must hold kFastScanBlockSize floats
+/// -- a full block is stored 8 lanes at a time, and lanes past size() on
+/// the tail block are left untouched. AVX2+FMA when available,
+/// bit-identical to the scalar reference. Requires query.has_exact_luts
+/// (B_q <= 6) and store.finalized().
+///
+/// The mask serves the kErrorBound policy's in-kernel pruning: bit k set
+/// iff lane k is a real code (k < count for a tail block), is not
+/// tombstoned (`dead`, 32 flags for this block, may be null when the list
+/// has no tombstones), is allowed by `lane_mask` (bit k clear drops lane k
+/// -- the per-query IdFilter's pushdown, all-ones when unfiltered) and its
+/// lower bound does not exceed `prune_threshold` (the caller's current
+/// top-k threshold; pass +infinity -- NOT FLT_MAX -- to disable pruning,
+/// e.g. while the heap is still filling: a lower bound that overflowed to
+/// +inf must survive then, and only `> inf` guarantees that). The caller
+/// walks set bits only, fusing candidate selection into the scan.
 std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
                                        const RabitqCodeStore& store,
                                        std::size_t block,
@@ -109,7 +94,8 @@ std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
                                        float* dist_sq, float* lower_bounds,
                                        std::uint32_t lane_mask = 0xFFFFFFFFu);
 
-/// Bit-exact scalar reference for EstimateBlockFusedPruned.
+/// Bit-exact scalar reference for EstimateBlockFusedPruned (mirrors the
+/// kernel's per-lane operation order with explicit std::fma).
 std::uint32_t EstimateBlockFusedPrunedScalar(
     const QuantizedQuery& query, const RabitqCodeStore& store,
     std::size_t block, const std::uint32_t* sums, float epsilon0,

@@ -10,26 +10,6 @@
 
 namespace rabitq {
 
-namespace {
-
-IvfSearchStats SumStats(const IvfSearchStats* stats, std::size_t n) {
-  IvfSearchStats agg;
-  for (std::size_t i = 0; i < n; ++i) {
-    agg.codes_estimated += stats[i].codes_estimated;
-    agg.candidates_reranked += stats[i].candidates_reranked;
-    agg.lists_probed += stats[i].lists_probed;
-    agg.codes_filtered += stats[i].codes_filtered;
-    agg.codes_refined += stats[i].codes_refined;
-    agg.rerank_bound_violations += stats[i].rerank_bound_violations;
-    agg.rerank_health_samples += stats[i].rerank_health_samples;
-    agg.rerank_signed_err_sum += stats[i].rerank_signed_err_sum;
-    agg.rerank_tightness_sum += stats[i].rerank_tightness_sum;
-  }
-  return agg;
-}
-
-}  // namespace
-
 SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
     : index_(std::move(index)),
       dim_(index_.dim()),
@@ -112,17 +92,17 @@ std::uint64_t SearchEngine::QuerySeed(std::uint64_t base,
 
 void SearchEngine::ExecuteBatch(
     const float* const* queries, std::size_t n,
-    const IvfSearchParams* const* params, const std::uint64_t* seeds,
+    const SearchOptions* const* options, const std::uint64_t* seeds,
     const std::chrono::steady_clock::time_point* submit_times,
-    Status* statuses, std::vector<Neighbor>* results, IvfSearchStats* stats,
-    ShardMergeInfo* infos) {
+    SearchResponse* const* responses) {
   using Clock = std::chrono::steady_clock;
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   const Clock::time_point start = Clock::now();
   const std::size_t S = index_.num_shards();
   if (S == 0) {
     for (std::size_t i = 0; i < n; ++i) {
-      statuses[i] = Status::FailedPrecondition("engine index not built");
+      responses[i]->status =
+          Status::FailedPrecondition("engine index not built");
     }
     return;
   }
@@ -224,7 +204,7 @@ void SearchEngine::ExecuteBatch(
         // is the query the shards see -- exact re-ranks and the merge must
         // score against the SAME vector the estimates were prepared from.
         cell_status_[cell] = index_.SearchShard(
-            s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
+            s, gather_buf_.Row(q), rotated_buf_.Row(q), *options[q], seeds[q],
             &scratch, &cell_results_[cell], &cell_stats_[cell]);
       }
       scratch.trace = nullptr;
@@ -258,15 +238,20 @@ void SearchEngine::ExecuteBatch(
         // under cosine) never ran any cell; everything else merges with the
         // per-shard statuses so a failed or out-of-time shard degrades the
         // query instead of failing it (see ShardedIndex::MergeShardResults).
+        SearchResponse& response = *responses[q];
         if (!query_status[q].ok()) {
-          statuses[q] = query_status[q];
+          response.status = query_status[q];
           continue;
         }
         obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
-        statuses[q] = index_.MergeShardResults(
-            gather_buf_.Row(q), *params[q], &cell_results_[q * S],
-            &cell_stats_[q * S], &worker_scratch_[c], &results[q], &stats[q],
-            &cell_status_[q * S], &infos[q]);
+        ShardMergeInfo info;
+        response.status = index_.MergeShardResults(
+            gather_buf_.Row(q), *options[q], &cell_results_[q * S],
+            &cell_stats_[q * S], &worker_scratch_[c], &response.neighbors,
+            &response.stats, &cell_status_[q * S], &info);
+        response.partial = info.partial;
+        response.shards_ok = info.shards_ok;
+        response.shards_failed = info.shards_failed;
       }
     }));
   }
@@ -285,22 +270,25 @@ void SearchEngine::ExecuteBatch(
       std::chrono::duration<double, std::micro>(end - start).count();
   std::vector<double> latencies(n);
   std::size_t errors = 0;
+  IvfSearchStats batch_stats;
   for (std::size_t i = 0; i < n; ++i) {
+    const SearchResponse& response = *responses[i];
     latencies[i] =
         submit_times != nullptr
             ? std::chrono::duration<double, std::micro>(end - submit_times[i])
                   .count()
             : batch_us;
-    if (!statuses[i].ok()) ++errors;
-    if (statuses[i].code() == StatusCode::kDeadlineExceeded) {
+    if (!response.status.ok()) ++errors;
+    if (response.status.code() == StatusCode::kDeadlineExceeded) {
       stats_.RecordDeadlineExceeded();
     }
-    if (infos[i].partial) stats_.RecordPartialResponse();
-    if (infos[i].shards_failed > 0) {
-      stats_.RecordShardFailures(infos[i].shards_failed);
+    if (response.partial) stats_.RecordPartialResponse();
+    if (response.shards_failed > 0) {
+      stats_.RecordShardFailures(response.shards_failed);
     }
+    batch_stats.Add(response.stats);
   }
-  stats_.RecordBatch(n, latencies.data(), SumStats(stats, n), errors);
+  stats_.RecordBatch(n, latencies.data(), batch_stats, errors);
 
   // Fold the sampled traces into the per-stage histograms and hand them to
   // the optional sink. Queue wait (submit -> batch start) only exists on
@@ -357,13 +345,10 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
   const std::size_t n = live.size();
   if (n > 0) {
     std::vector<const float*> query_ptrs(n);
-    std::vector<IvfSearchParams> owned_params(n);
-    std::vector<const IvfSearchParams*> param_ptrs(n);
+    std::vector<SearchOptions> owned_options(n);
+    std::vector<const SearchOptions*> option_ptrs(n);
     std::vector<std::uint64_t> seeds(n);
-    std::vector<Status> statuses(n);
-    std::vector<std::vector<Neighbor>> results(n);
-    std::vector<IvfSearchStats> stats(n);
-    std::vector<ShardMergeInfo> infos(n);
+    std::vector<SearchResponse*> response_ptrs(n);
     // Relative timeouts resolve against ONE admission timestamp for the
     // whole batch -- read lazily, so deadline-free batches never touch the
     // clock here (part of the bit-determinism contract).
@@ -372,31 +357,22 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
     for (std::size_t j = 0; j < n; ++j) {
       const SearchRequest& request = requests[live[j]];
       query_ptrs[j] = request.query;
-      owned_params[j] = request.options;
-      if (owned_params[j].timeout_us != 0 && !now_read) {
+      owned_options[j] = request.options;
+      if (owned_options[j].timeout_us != 0 && !now_read) {
         now = std::chrono::steady_clock::now();
         now_read = true;
       }
-      owned_params[j].ResolveDeadline(now);
-      param_ptrs[j] = &owned_params[j];
+      owned_options[j].ResolveDeadline(now);
+      option_ptrs[j] = &owned_options[j];
+      response_ptrs[j] = &(*responses)[live[j]];
       // Auto-seed by the request's BATCH POSITION (not its compacted slot)
       // so a request's derived seed is independent of its neighbors'
       // validity.
       seeds[j] =
           request.options.seed.value_or(QuerySeed(config_.seed, live[j]));
     }
-    ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                 /*submit_times=*/nullptr, statuses.data(), results.data(),
-                 stats.data(), infos.data());
-    for (std::size_t j = 0; j < n; ++j) {
-      SearchResponse& response = (*responses)[live[j]];
-      response.status = std::move(statuses[j]);
-      response.neighbors = std::move(results[j]);
-      response.stats = stats[j];
-      response.partial = infos[j].partial;
-      response.shards_ok = infos[j].shards_ok;
-      response.shards_failed = infos[j].shards_failed;
-    }
+    ExecuteBatch(query_ptrs.data(), n, option_ptrs.data(), seeds.data(),
+                 /*submit_times=*/nullptr, response_ptrs.data());
   }
   for (const SearchResponse& response : *responses) {
     if (!response.status.ok()) return response.status;
@@ -670,13 +646,11 @@ void SearchEngine::SchedulerLoop() {
   std::vector<QueuedQuery> batch;
   std::vector<QueuedQuery> shed;
   std::vector<const float*> query_ptrs;
-  std::vector<const IvfSearchParams*> param_ptrs;
+  std::vector<const SearchOptions*> option_ptrs;
   std::vector<std::uint64_t> seeds;
   std::vector<std::chrono::steady_clock::time_point> submit_times;
-  std::vector<Status> statuses;
-  std::vector<std::vector<Neighbor>> results;
-  std::vector<IvfSearchStats> stats;
-  std::vector<ShardMergeInfo> infos;
+  std::vector<SearchResponse> responses;
+  std::vector<SearchResponse*> response_ptrs;
   while (queue_.PopBatch(config_.max_batch,
                          std::chrono::microseconds(config_.batch_linger_us),
                          &batch, &shed)) {
@@ -693,31 +667,22 @@ void SearchEngine::SchedulerLoop() {
     const std::size_t n = batch.size();
     if (n == 0) continue;  // everything popped this round was shed
     query_ptrs.resize(n);
-    param_ptrs.resize(n);
+    option_ptrs.resize(n);
     seeds.resize(n);
     submit_times.resize(n);
-    statuses.assign(n, Status::Ok());
-    results.assign(n, {});
-    stats.assign(n, IvfSearchStats{});
-    infos.assign(n, ShardMergeInfo{});
+    responses.assign(n, {});
+    response_ptrs.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       query_ptrs[i] = batch[i].query.data();
-      param_ptrs[i] = &batch[i].options;
+      option_ptrs[i] = &batch[i].options;
       seeds[i] = batch[i].seed;
       submit_times[i] = batch[i].submit_time;
+      response_ptrs[i] = &responses[i];
     }
-    ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                 submit_times.data(), statuses.data(), results.data(),
-                 stats.data(), infos.data());
+    ExecuteBatch(query_ptrs.data(), n, option_ptrs.data(), seeds.data(),
+                 submit_times.data(), response_ptrs.data());
     for (std::size_t i = 0; i < n; ++i) {
-      SearchResponse response;
-      response.status = std::move(statuses[i]);
-      response.neighbors = std::move(results[i]);
-      response.stats = stats[i];
-      response.partial = infos[i].partial;
-      response.shards_ok = infos[i].shards_ok;
-      response.shards_failed = infos[i].shards_failed;
-      batch[i].promise.set_value(std::move(response));
+      batch[i].promise.set_value(std::move(responses[i]));
     }
   }
 }

@@ -33,26 +33,7 @@
 #include "index/brute_force.h"
 #include "util/status.h"
 
-// Deprecation machinery for the legacy (pre-SearchRequest) overloads:
-//   * RABITQ_NO_DEPRECATED hides the compatibility shims entirely -- the
-//     escape hatch for consumers proving they are off the old API (see
-//     search_compat.h).
-//   * RABITQ_SUPPRESS_DEPRECATED keeps the shims but drops the
-//     [[deprecated]] attribute -- for TUs that deliberately exercise them
-//     (the old-vs-new parity tests).
-#if defined(RABITQ_SUPPRESS_DEPRECATED)
-#define RABITQ_DEPRECATED(msg)
-#else
-#define RABITQ_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
-
 namespace rabitq {
-
-// Metric / MetricName / ValidateMetric / MetricDistance moved down to
-// core/metric.h (included above) when kInnerProduct and kCosine unlocked:
-// the estimator and query-preprocessing layers below this header now need
-// the enum too. Every existing `#include "index/search_types.h"` keeps
-// seeing the same names.
 
 enum class RerankPolicy {
   kErrorBound,       // paper Section 4, no tunable parameter
@@ -163,9 +144,8 @@ class IdFilter {
   const std::uint32_t* id_map_ = nullptr;
 };
 
-/// Everything tunable about one query. The flat pre-request parameter
-/// struct (IvfSearchParams) is now an alias of this type, so the engine's
-/// scratch plumbing and the request API share one options vocabulary.
+/// Everything tunable about one query, shared by the request API and the
+/// scratch-level search plumbing.
 struct SearchOptions {
   std::size_t k = 100;
   std::size_t nprobe = 16;
@@ -221,10 +201,6 @@ struct SearchOptions {
   }
 };
 
-/// Legacy spelling of SearchOptions, kept so existing call sites (and the
-/// scratch-level Search plumbing) keep compiling unchanged.
-using IvfSearchParams = SearchOptions;
-
 struct IvfSearchStats {
   std::size_t codes_estimated = 0;
   std::size_t candidates_reranked = 0;
@@ -256,6 +232,19 @@ struct IvfSearchStats {
   /// Sum of lower_bound / exact over health samples; its mean in (0, 1]
   /// measures how tight the bound runs (1 = exact, -> 0 = vacuous).
   double rerank_tightness_sum = 0.0;
+
+  /// Field-wise sum: folds another query's or shard's counters into this.
+  void Add(const IvfSearchStats& other) {
+    codes_estimated += other.codes_estimated;
+    candidates_reranked += other.candidates_reranked;
+    lists_probed += other.lists_probed;
+    codes_filtered += other.codes_filtered;
+    codes_refined += other.codes_refined;
+    rerank_bound_violations += other.rerank_bound_violations;
+    rerank_health_samples += other.rerank_health_samples;
+    rerank_signed_err_sum += other.rerank_signed_err_sum;
+    rerank_tightness_sum += other.rerank_tightness_sum;
+  }
 };
 
 /// One query: a non-owning view of `dim()` floats plus its options. The

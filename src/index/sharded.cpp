@@ -250,7 +250,7 @@ SearchResponse ShardedIndex::Search(const SearchRequest& request) const {
 
 Status ShardedIndex::SearchWithScratch(const float* query,
                                        const float* rotated_query,
-                                       const IvfSearchParams& params,
+                                       const SearchOptions& params,
                                        std::uint64_t seed,
                                        ShardedSearchScratch* scratch,
                                        std::vector<Neighbor>* out,
@@ -305,13 +305,13 @@ Status ShardedIndex::SearchWithScratch(const float* query,
 
 Status ShardedIndex::SearchShard(std::size_t shard, const float* query,
                                  const float* rotated_query,
-                                 const IvfSearchParams& params,
+                                 const SearchOptions& params,
                                  std::uint64_t seed, IvfSearchScratch* scratch,
                                  std::vector<Neighbor>* out,
                                  IvfSearchStats* stats) const {
   RABITQ_FAILPOINT("sharded.search_shard",
                    return Status::Internal("injected shard failure"));
-  IvfSearchParams shard_params = params;
+  SearchOptions shard_params = params;
   if (params.policy == RerankPolicy::kFixedCandidates) {
     // Gather estimates only; the merge selects the globally best
     // max(k, R) of them and re-ranks exactly -- a budget split
@@ -333,7 +333,7 @@ Status ShardedIndex::SearchShard(std::size_t shard, const float* query,
 }
 
 Status ShardedIndex::MergeShardResults(const float* query,
-                                       const IvfSearchParams& params,
+                                       const SearchOptions& params,
                                        const std::vector<Neighbor>* shard_results,
                                        const IvfSearchStats* shard_stats,
                                        ShardedSearchScratch* scratch,
@@ -393,16 +393,7 @@ Status ShardedIndex::MergeShardResults(const float* query,
   IvfSearchStats agg;
   if (shard_stats != nullptr) {
     for (std::size_t s = 0; s < S; ++s) {
-      if (hard_failed(s)) continue;
-      agg.codes_estimated += shard_stats[s].codes_estimated;
-      agg.candidates_reranked += shard_stats[s].candidates_reranked;
-      agg.lists_probed += shard_stats[s].lists_probed;
-      agg.codes_filtered += shard_stats[s].codes_filtered;
-      agg.codes_refined += shard_stats[s].codes_refined;
-      agg.rerank_bound_violations += shard_stats[s].rerank_bound_violations;
-      agg.rerank_health_samples += shard_stats[s].rerank_health_samples;
-      agg.rerank_signed_err_sum += shard_stats[s].rerank_signed_err_sum;
-      agg.rerank_tightness_sum += shard_stats[s].rerank_tightness_sum;
+      if (!hard_failed(s)) agg.Add(shard_stats[s]);
     }
   }
 

@@ -69,23 +69,34 @@ class EngineTestFixture : public ::testing::Test {
     params_.nprobe = 8;
   }
 
+  // One request per query, query i seeded QuerySeed(kSeedBase, i): the
+  // per-query seed stream of an engine batch with base kSeedBase.
+  std::vector<SearchRequest> SeededRequests() const {
+    std::vector<SearchRequest> requests(kNumQueries);
+    for (std::size_t i = 0; i < kNumQueries; ++i) {
+      requests[i] = {queries_.Row(i), params_};
+      requests[i].options.seed = SearchEngine::QuerySeed(kSeedBase, i);
+    }
+    return requests;
+  }
+
   // The sequential reference: the paper's one-query-at-a-time protocol with
   // the same per-query seed stream the engine uses.
   std::vector<std::vector<Neighbor>> SequentialReference(
       const IvfRabitqIndex& index) {
+    const std::vector<SearchRequest> requests = SeededRequests();
     std::vector<std::vector<Neighbor>> ref(kNumQueries);
     for (std::size_t i = 0; i < kNumQueries; ++i) {
-      EXPECT_TRUE(index
-                      .Search(queries_.Row(i), params_,
-                              SearchEngine::QuerySeed(kSeedBase, i), &ref[i])
-                      .ok());
+      SearchResponse response = index.Search(requests[i]);
+      EXPECT_TRUE(response.ok());
+      ref[i] = std::move(response.neighbors);
     }
     return ref;
   }
 
   Matrix data_;
   Matrix queries_;
-  IvfSearchParams params_;
+  SearchOptions params_;
 };
 
 TEST_F(EngineTestFixture, SearchBatchMatchesSequentialSearch) {
@@ -95,15 +106,15 @@ TEST_F(EngineTestFixture, SearchBatchMatchesSequentialSearch) {
   EngineConfig config;
   config.num_threads = 4;
   SearchEngine engine(std::move(index), config);
-  std::vector<std::vector<Neighbor>> results;
+  const std::vector<SearchRequest> requests = SeededRequests();
+  std::vector<SearchResponse> responses;
+  ASSERT_TRUE(
+      engine.SearchBatch(requests.data(), kNumQueries, &responses).ok());
+  ASSERT_EQ(responses.size(), kNumQueries);
   IvfSearchStats agg;
-  ASSERT_TRUE(engine
-                  .SearchBatch(queries_.data(), kNumQueries, params_,
-                               kSeedBase, &results, &agg)
-                  .ok());
-  ASSERT_EQ(results.size(), kNumQueries);
   for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ExpectSameNeighbors(results[i], reference[i]);
+    ExpectSameNeighbors(responses[i].neighbors, reference[i]);
+    agg.Add(responses[i].stats);
   }
   EXPECT_GT(agg.codes_estimated, 0u);
   EXPECT_GT(agg.lists_probed, 0u);
@@ -114,19 +125,15 @@ TEST_F(EngineTestFixture, BatchSizeOneMatchesSequentialSearch) {
   const auto reference = SequentialReference(index);
   SearchEngine engine(std::move(index));
   for (std::size_t i = 0; i < 5; ++i) {
-    std::vector<std::vector<Neighbor>> results;
-    ASSERT_TRUE(engine
-                    .SearchBatch(queries_.Row(i), 1, params_,
-                                 /*seed_base=*/0, &results)
-                    .ok());
-    // Seed parity: batch index 0 under base QuerySeed must replay query i's
-    // sequential seed, so search with the matching explicit stream.
-    std::vector<Neighbor> ref;
-    ASSERT_TRUE(engine.index()
-                    .Search(queries_.Row(i), params_,
-                            SearchEngine::QuerySeed(0, 0), &ref)
-                    .ok());
-    ExpectSameNeighbors(results[0], ref);
+    // Seed parity: batch index 0 under base 0 carries QuerySeed(0, 0), so
+    // the sequential reference searches with that explicit seed.
+    SearchRequest request{queries_.Row(i), params_};
+    request.options.seed = SearchEngine::QuerySeed(0, 0);
+    std::vector<SearchResponse> responses;
+    ASSERT_TRUE(engine.SearchBatch(&request, 1, &responses).ok());
+    const SearchResponse ref = engine.index().Search(request);
+    ASSERT_TRUE(ref.ok());
+    ExpectSameNeighbors(responses[0].neighbors, ref.neighbors);
   }
 }
 
@@ -144,7 +151,8 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
 
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kRounds = 3;  // every producer submits all queries
-  std::vector<std::vector<std::future<EngineResult>>> futures(
+  const std::vector<SearchRequest> requests = SeededRequests();
+  std::vector<std::vector<std::future<SearchResponse>>> futures(
       kProducers * kRounds);
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -155,9 +163,7 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
         for (std::size_t i = 0; i < kNumQueries; ++i) {
           // Explicit per-query seeds: results must not depend on how the
           // scheduler batches the interleaved submissions.
-          slot.push_back(engine.SubmitAsync(
-              queries_.Row(i), params_,
-              SearchEngine::QuerySeed(kSeedBase, i)));
+          slot.push_back(engine.SubmitAsync(requests[i]));
         }
       }
     });
@@ -165,7 +171,7 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
   for (auto& t : producers) t.join();
   for (std::size_t s = 0; s < futures.size(); ++s) {
     for (std::size_t i = 0; i < kNumQueries; ++i) {
-      EngineResult result = futures[s][i].get();
+      SearchResponse result = futures[s][i].get();
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       ExpectSameNeighbors(result.neighbors, reference[i]);
     }
@@ -185,20 +191,21 @@ TEST_F(EngineTestFixture, ConcurrentSearchBatchCallers) {
   SearchEngine engine(std::move(index), config);
 
   constexpr std::size_t kCallers = 4;
+  const std::vector<SearchRequest> requests = SeededRequests();
   std::vector<Status> statuses(kCallers);
-  std::vector<std::vector<std::vector<Neighbor>>> results(kCallers);
+  std::vector<std::vector<SearchResponse>> responses(kCallers);
   std::vector<std::thread> callers;
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      statuses[c] = engine.SearchBatch(queries_.data(), kNumQueries, params_,
-                                       kSeedBase, &results[c]);
+      statuses[c] =
+          engine.SearchBatch(requests.data(), kNumQueries, &responses[c]);
     });
   }
   for (auto& t : callers) t.join();
   for (std::size_t c = 0; c < kCallers; ++c) {
     ASSERT_TRUE(statuses[c].ok()) << statuses[c].ToString();
     for (std::size_t i = 0; i < kNumQueries; ++i) {
-      ExpectSameNeighbors(results[c][i], reference[i]);
+      ExpectSameNeighbors(responses[c][i].neighbors, reference[i]);
     }
   }
 }
@@ -217,8 +224,8 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
     searchers.emplace_back([&, t] {
       std::size_t i = t;
       while (!stop.load(std::memory_order_relaxed)) {
-        EngineResult result =
-            engine.SubmitAsync(queries_.Row(i % kNumQueries), params_).get();
+        SearchResponse result =
+            engine.SubmitAsync({queries_.Row(i % kNumQueries), params_}).get();
         ASSERT_TRUE(result.status.ok()) << result.status.ToString();
         ASSERT_FALSE(result.neighbors.empty());
         searches_served.fetch_add(1, std::memory_order_relaxed);
@@ -249,12 +256,12 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
   EXPECT_GT(searches_served.load(), 0u);
 
   // Every inserted vector is now its own nearest neighbor at full probe.
-  IvfSearchParams full = params_;
+  SearchOptions full = params_;
   full.k = 1;
   full.nprobe = engine.index().num_lists();
   for (std::size_t i = 0; i < kInserts; ++i) {
-    EngineResult result =
-        engine.SubmitAsync(new_vectors.Row(i), full).get();
+    SearchResponse result =
+        engine.SubmitAsync({new_vectors.Row(i), full}).get();
     ASSERT_TRUE(result.status.ok());
     ASSERT_EQ(result.neighbors.size(), 1u);
     EXPECT_EQ(result.neighbors[0].second, inserted_ids[i]);
@@ -264,10 +271,13 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
 
 TEST_F(EngineTestFixture, StatsAccumulateAndReset) {
   SearchEngine engine(BuildIndex(data_, 16));
-  std::vector<std::vector<Neighbor>> results;
+  std::vector<SearchRequest> requests(kNumQueries);
+  for (std::size_t i = 0; i < kNumQueries; ++i) {
+    requests[i] = {queries_.Row(i), params_};
+  }
+  std::vector<SearchResponse> responses;
   ASSERT_TRUE(
-      engine.SearchBatch(queries_.data(), kNumQueries, params_, &results)
-          .ok());
+      engine.SearchBatch(requests.data(), kNumQueries, &responses).ok());
   EngineStatsSnapshot stats = engine.Stats();
   EXPECT_EQ(stats.queries, kNumQueries);
   EXPECT_EQ(stats.batches, 1u);
@@ -286,23 +296,24 @@ TEST_F(EngineTestFixture, StatsAccumulateAndReset) {
 
 TEST_F(EngineTestFixture, PerQueryErrorsPropagateWithoutPoisoningBatch) {
   SearchEngine engine(BuildIndex(data_, 16));
-  IvfSearchParams bad = params_;
+  SearchOptions bad = params_;
   bad.k = 0;  // rejected by the search path
-  std::future<EngineResult> bad_future =
-      engine.SubmitAsync(queries_.Row(0), bad);
-  std::future<EngineResult> good_future =
-      engine.SubmitAsync(queries_.Row(1), params_);
+  std::future<SearchResponse> bad_future =
+      engine.SubmitAsync({queries_.Row(0), bad});
+  std::future<SearchResponse> good_future =
+      engine.SubmitAsync({queries_.Row(1), params_});
   EXPECT_FALSE(bad_future.get().status.ok());
-  EngineResult good = good_future.get();
+  SearchResponse good = good_future.get();
   EXPECT_TRUE(good.status.ok()) << good.status.ToString();
   EXPECT_FALSE(good.neighbors.empty());
   EXPECT_EQ(engine.Stats().search_errors, 1u);
 
   // Sync batch: first error is returned, healthy queries still answered.
-  std::vector<std::vector<Neighbor>> results;
-  EXPECT_FALSE(
-      engine.SearchBatch(queries_.data(), 2, bad, &results).ok());
-  ASSERT_EQ(results.size(), 2u);
+  const SearchRequest bad_batch[] = {{queries_.Row(0), bad},
+                                     {queries_.Row(1), bad}};
+  std::vector<SearchResponse> responses;
+  EXPECT_FALSE(engine.SearchBatch(bad_batch, 2, &responses).ok());
+  ASSERT_EQ(responses.size(), 2u);
 }
 
 TEST(EngineTest, LatencyHistogramQuantiles) {

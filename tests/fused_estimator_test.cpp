@@ -1,8 +1,8 @@
 // The fused SIMD estimate pipeline:
-//   * the AVX2+FMA block assembly (EstimateBlockFused) is bit-identical to
-//     its scalar reference across dims, code widths, non-multiple-of-8/32
-//     tails, the B_q sweep, and the dist_to_centroid == 0 / q_dist == 0
-//     edge cases;
+//   * the AVX2+FMA block assembly (EstimateBlockFusedPruned) is
+//     bit-identical to its scalar reference across dims, code widths,
+//     non-multiple-of-8/32 tails, the B_q sweep, and the
+//     dist_to_centroid == 0 / q_dist == 0 edge cases;
 //   * the in-kernel pruning variant returns exactly the survivors the
 //     un-fused per-entry loop would have re-ranked (tombstone masks, tail
 //     lanes, threshold semantics included);
@@ -33,6 +33,26 @@
 
 namespace rabitq {
 namespace {
+
+constexpr float kNoPrune = std::numeric_limits<float>::infinity();
+
+// Unpruned block assembly: +inf threshold, no tombstones, all lanes allowed.
+void AssembleBlock(const QuantizedQuery& qq, const RabitqCodeStore& store,
+                   std::size_t block, const std::uint32_t* sums,
+                   float epsilon0, float* dist_sq, float* lower_bounds) {
+  EstimateBlockFusedPruned(qq, store, block, sums, epsilon0, kNoPrune,
+                           /*dead=*/nullptr, dist_sq, lower_bounds,
+                           0xFFFFFFFFu);
+}
+
+void AssembleBlockScalar(const QuantizedQuery& qq,
+                         const RabitqCodeStore& store, std::size_t block,
+                         const std::uint32_t* sums, float epsilon0,
+                         float* dist_sq, float* lower_bounds) {
+  EstimateBlockFusedPrunedScalar(qq, store, block, sums, epsilon0, kNoPrune,
+                                 /*dead=*/nullptr, dist_sq, lower_bounds,
+                                 0xFFFFFFFFu);
+}
 
 std::vector<float> RandomVec(std::size_t dim, Rng* rng, float scale = 1.0f) {
   std::vector<float> v(dim);
@@ -111,9 +131,8 @@ void ExpectFusedMatchesScalar(const Workload& w, const QuantizedQuery& qq,
                             qq.luts.data(), sums);
     float fused_d[kFastScanBlockSize], fused_lb[kFastScanBlockSize];
     float ref_d[kFastScanBlockSize], ref_lb[kFastScanBlockSize];
-    EstimateBlockFused(qq, w.store, block, sums, epsilon0, fused_d, fused_lb);
-    EstimateBlockFusedScalar(qq, w.store, block, sums, epsilon0, ref_d,
-                             ref_lb);
+    AssembleBlock(qq, w.store, block, sums, epsilon0, fused_d, fused_lb);
+    AssembleBlockScalar(qq, w.store, block, sums, epsilon0, ref_d, ref_lb);
     const std::size_t begin = block * kFastScanBlockSize;
     const std::size_t count =
         std::min(kFastScanBlockSize, w.store.size() - begin);
@@ -184,7 +203,7 @@ TEST(FusedEstimatorTest, FusedHandlesDegenerateQueryAndCode) {
   FastScanAccumulateBlock(packed.BlockPtr(0), packed.num_segments,
                           qq.luts.data(), sums);
   float d[kFastScanBlockSize], lb[kFastScanBlockSize];
-  EstimateBlockFused(qq, w.store, 0, sums, 1.9f, d, lb);
+  AssembleBlock(qq, w.store, 0, sums, 1.9f, d, lb);
   EXPECT_EQ(d[0], 0.0f);  // code 0: d == 0 AND q_dist == 0
   EXPECT_EQ(d[1], w.store.f_sq_data()[1]);
   EXPECT_EQ(lb[1], w.store.f_sq_data()[1]);
@@ -197,7 +216,7 @@ TEST(FusedEstimatorTest, FusedHandlesDegenerateQueryAndCode) {
   ExpectFusedMatchesScalar(w, qq2, 1.9f);
   FastScanAccumulateBlock(packed.BlockPtr(0), packed.num_segments,
                           qq2.luts.data(), sums);
-  EstimateBlockFused(qq2, w.store, 0, sums, 1.9f, d, lb);
+  AssembleBlock(qq2, w.store, 0, sums, 1.9f, d, lb);
   EXPECT_EQ(d[0], qq2.q_dist * qq2.q_dist);
   EXPECT_EQ(lb[0], qq2.q_dist * qq2.q_dist);
 }
@@ -226,7 +245,7 @@ TEST(FusedEstimatorTest, PrunedVariantMatchesScalarAndUnfusedSelection) {
       // Reference lower bounds pick plausible thresholds: min, a mid value,
       // max, and the no-prune FLT_MAX sentinel.
       float ref_d[kFastScanBlockSize], ref_lb[kFastScanBlockSize];
-      EstimateBlockFusedScalar(qq, w.store, block, sums, 1.9f, ref_d, ref_lb);
+      AssembleBlockScalar(qq, w.store, block, sums, 1.9f, ref_d, ref_lb);
       const float lo = *std::min_element(ref_lb, ref_lb + count);
       const float hi = *std::max_element(ref_lb, ref_lb + count);
       const float thresholds[] = {lo, (lo + hi) / 2, hi, FLT_MAX};

@@ -93,7 +93,7 @@ class LifecycleTest : public ::testing::Test {
 
   Matrix data_;
   Matrix queries_;
-  IvfSearchParams params_;
+  SearchOptions params_;
 };
 
 TEST_F(LifecycleTest, DeleteHidesVectorImmediately) {
@@ -101,18 +101,21 @@ TEST_F(LifecycleTest, DeleteHidesVectorImmediately) {
   ASSERT_EQ(index.live_size(), kN);
 
   // The vector nearest to itself is its own top-1; after Delete it vanishes.
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(data_.Row(5), params_, /*seed=*/1, &out).ok());
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out[0].second, 5u);
+  SearchOptions params = params_;
+  params.seed = 1;
+  SearchResponse response = index.Search({data_.Row(5), params});
+  ASSERT_TRUE(response.ok());
+  ASSERT_FALSE(response.neighbors.empty());
+  EXPECT_EQ(response.neighbors[0].second, 5u);
 
   ASSERT_TRUE(index.Delete(5).ok());
   EXPECT_TRUE(index.IsDeleted(5));
   EXPECT_EQ(index.live_size(), kN - 1);
   EXPECT_EQ(index.num_tombstones(), 1u);
 
-  ASSERT_TRUE(index.Search(data_.Row(5), params_, /*seed=*/1, &out).ok());
-  for (const Neighbor& n : out) EXPECT_NE(n.second, 5u);
+  response = index.Search({data_.Row(5), params});
+  ASSERT_TRUE(response.ok());
+  for (const Neighbor& n : response.neighbors) EXPECT_NE(n.second, 5u);
 
   // Double delete and out-of-range ids are rejected.
   EXPECT_EQ(index.Delete(5).code(), StatusCode::kNotFound);
@@ -129,9 +132,12 @@ TEST_F(LifecycleTest, HalfDeletedMatchesBruteForceOverLiveSet) {
   ASSERT_EQ(index.live_size(), kN / 2);
 
   double recall_sum = 0.0;
+  SearchOptions params = params_;
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(index.Search(queries_.Row(q), params_, 100 + q, &got).ok());
+    params.seed = 100 + q;
+    const SearchResponse response = index.Search({queries_.Row(q), params});
+    ASSERT_TRUE(response.ok());
+    const std::vector<Neighbor>& got = response.neighbors;
     const auto truth = BruteForceLive(data_, queries_.Row(q), kK, alive);
     for (const Neighbor& n : got) {
       EXPECT_TRUE(alive[n.second]) << "deleted id " << n.second << " returned";
@@ -155,13 +161,14 @@ TEST_F(LifecycleTest, SearchSkipsDeletedUnderAllRerankPolicies) {
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    IvfSearchParams params = params_;
+    SearchOptions params = params_;
     params.policy = policy;
     for (std::size_t q = 0; q < 8; ++q) {
-      std::vector<Neighbor> got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 7 + q, &got).ok());
-      ASSERT_FALSE(got.empty());
-      for (const Neighbor& n : got) {
+      params.seed = 7 + q;
+      const SearchResponse response = index.Search({queries_.Row(q), params});
+      ASSERT_TRUE(response.ok());
+      ASSERT_FALSE(response.neighbors.empty());
+      for (const Neighbor& n : response.neighbors) {
         EXPECT_TRUE(alive[n.second])
             << "policy " << static_cast<int>(policy) << " returned deleted id";
       }
@@ -179,17 +186,21 @@ TEST_F(LifecycleTest, UpdateRelocatesVectorKeepingItsId) {
   EXPECT_FALSE(index.IsDeleted(10));
 
   // Searching the new location finds the id at ~zero distance...
-  IvfSearchParams one = params_;
+  SearchOptions one = params_;
   one.k = 1;
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(moved.data(), one, /*seed=*/3, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, 10u);
-  EXPECT_NEAR(out[0].first, 0.0f, 1e-3f);
+  one.seed = 3;
+  const SearchResponse found = index.Search({moved.data(), one});
+  ASSERT_TRUE(found.ok());
+  ASSERT_EQ(found.neighbors.size(), 1u);
+  EXPECT_EQ(found.neighbors[0].second, 10u);
+  EXPECT_NEAR(found.neighbors[0].first, 0.0f, 1e-3f);
 
   // ...and the old location no longer returns it.
-  ASSERT_TRUE(index.Search(data_.Row(10), params_, /*seed=*/4, &out).ok());
-  for (const Neighbor& n : out) EXPECT_NE(n.second, 10u);
+  SearchOptions params = params_;
+  params.seed = 4;
+  const SearchResponse old_spot = index.Search({data_.Row(10), params});
+  ASSERT_TRUE(old_spot.ok());
+  for (const Neighbor& n : old_spot.neighbors) EXPECT_NE(n.second, 10u);
 
   // Updating a deleted id is rejected.
   ASSERT_TRUE(index.Delete(11).ok());
@@ -205,9 +216,12 @@ TEST_F(LifecycleTest, CompactionDropsTombstonesAndPreservesResults) {
   }
 
   std::vector<std::vector<Neighbor>> before(kNumQueries);
+  SearchOptions params = params_;
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    ASSERT_TRUE(
-        index.Search(queries_.Row(q), params_, 500 + q, &before[q]).ok());
+    params.seed = 500 + q;
+    SearchResponse response = index.Search({queries_.Row(q), params});
+    ASSERT_TRUE(response.ok());
+    before[q] = std::move(response.neighbors);
   }
 
   ASSERT_TRUE(index.Compact().ok());
@@ -221,9 +235,10 @@ TEST_F(LifecycleTest, CompactionDropsTombstonesAndPreservesResults) {
   // Same seeds after compaction: the live candidate sequence is unchanged
   // (compaction preserves relative order), so results are bit-identical.
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> after;
-    ASSERT_TRUE(
-        index.Search(queries_.Row(q), params_, 500 + q, &after).ok());
+    params.seed = 500 + q;
+    const SearchResponse response = index.Search({queries_.Row(q), params});
+    ASSERT_TRUE(response.ok());
+    const std::vector<Neighbor>& after = response.neighbors;
     ASSERT_EQ(after.size(), before[q].size());
     for (std::size_t i = 0; i < after.size(); ++i) {
       EXPECT_EQ(after[i].second, before[q][i].second);
@@ -267,17 +282,20 @@ TEST_F(LifecycleTest, CompactedIndexMatchesFreshRebuildRecall) {
   // every bound-plausible candidate, so any recall gap comes from the
   // lifecycle machinery (wrong tombstones, corrupted codes) rather than
   // from estimator tail noise -- which is what this criterion is about.
-  IvfSearchParams params = params_;
+  SearchOptions params = params_;
   params.epsilon0_override = 2.5f;
   const std::size_t queries = kNumQueries;
   double recall_mutated = 0.0, recall_fresh = 0.0;
   for (std::size_t q = 0; q < queries; ++q) {
     const auto truth = BruteForceLive(data_, queries_.Row(q), kK, alive);
-    std::vector<Neighbor> got_mutated, got_fresh;
-    ASSERT_TRUE(
-        mutated.Search(queries_.Row(q), params, 900 + q, &got_mutated).ok());
-    ASSERT_TRUE(
-        fresh.Search(queries_.Row(q), params, 900 + q, &got_fresh).ok());
+    params.seed = 900 + q;
+    const SearchResponse mutated_response =
+        mutated.Search({queries_.Row(q), params});
+    SearchResponse fresh_response = fresh.Search({queries_.Row(q), params});
+    ASSERT_TRUE(mutated_response.ok());
+    ASSERT_TRUE(fresh_response.ok());
+    const std::vector<Neighbor>& got_mutated = mutated_response.neighbors;
+    std::vector<Neighbor>& got_fresh = fresh_response.neighbors;
     for (Neighbor& n : got_fresh) n.second = fresh_to_orig[n.second];
     recall_mutated += RecallAgainst(got_mutated, truth);
     recall_fresh += RecallAgainst(got_fresh, truth);
@@ -311,13 +329,14 @@ TEST_F(LifecycleTest, TenThousandSingleInsertsStayCheap) {
   EXPECT_LT(seconds, 20.0);
 
   // Spot-check correctness: the last insert is its own nearest neighbor.
-  IvfSearchParams one;
+  SearchOptions one;
   one.k = 1;
   one.nprobe = index.num_lists();
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(extra.Row(9999), one, /*seed=*/11, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, 10499u);
+  one.seed = 11;
+  const SearchResponse response = index.Search({extra.Row(9999), one});
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response.neighbors.size(), 1u);
+  EXPECT_EQ(response.neighbors[0].second, 10499u);
 }
 
 // Shard count for the sharded variants of the stress tests; the CI matrix
@@ -360,8 +379,8 @@ void LifecycleTest::RunEngineChurnStress(std::size_t num_shards) {
     searchers.emplace_back([&, t] {
       std::size_t i = t;
       while (!stop.load(std::memory_order_relaxed)) {
-        EngineResult r =
-            engine.SubmitAsync(queries_.Row(i % kNumQueries), params_).get();
+        SearchResponse r =
+            engine.SubmitAsync({queries_.Row(i % kNumQueries), params_}).get();
         ASSERT_TRUE(r.status.ok()) << r.status.ToString();
         searches.fetch_add(1, std::memory_order_relaxed);
         ++i;
@@ -443,18 +462,19 @@ void LifecycleTest::RunEngineChurnStress(std::size_t num_shards) {
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     EXPECT_EQ(index.shard(s).num_tombstones(), 0u) << "shard " << s;
   }
-  IvfSearchParams one = params_;
+  SearchOptions one = params_;
   one.k = 1;
   one.nprobe = index.num_lists();
   Rng rng(77);
   for (std::uint32_t id = 0; id < index.size(); ++id) {
     if (index.IsDeleted(id)) continue;
     if (rng.UniformInt(10) != 0) continue;  // sample 10% for speed
-    std::vector<Neighbor> out;
-    ASSERT_TRUE(index.Search(index.vector(id), one, 5000 + id, &out).ok());
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].second, id);
-    EXPECT_NEAR(out[0].first, 0.0f, 1e-3f);
+    one.seed = 5000 + id;
+    const SearchResponse response = index.Search({index.vector(id), one});
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response.neighbors.size(), 1u);
+    EXPECT_EQ(response.neighbors[0].second, id);
+    EXPECT_NEAR(response.neighbors[0].first, 0.0f, 1e-3f);
   }
 }
 

@@ -145,8 +145,8 @@ class MetricSearchTest : public ::testing::Test {
   }
 
   // Exhaustive exact settings: full probe, never prune.
-  static IvfSearchParams ExhaustiveParams(RerankPolicy policy) {
-    IvfSearchParams params;
+  static SearchOptions ExhaustiveParams(RerankPolicy policy) {
+    SearchOptions params;
     params.k = kK;
     params.nprobe = kLists;
     params.epsilon0_override = 50.0f;
@@ -173,12 +173,12 @@ TEST_F(MetricSearchTest, ExhaustiveSearchMatchesOracle) {
       for (const RerankPolicy policy :
            {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates}) {
         for (const bool batch : {true, false}) {
-          IvfSearchParams params = ExhaustiveParams(policy);
+          SearchOptions params = ExhaustiveParams(policy);
           params.use_batch_estimator = batch;
-          std::vector<Neighbor> got;
-          ASSERT_TRUE(
-              index.Search(queries_.Row(q), params, 700 + q, &got).ok());
-          ExpectSameNeighbors(oracle, got,
+          params.seed = 700 + q;
+          const SearchResponse got = index.Search({queries_.Row(q), params});
+          ASSERT_TRUE(got.ok());
+          ExpectSameNeighbors(oracle, got.neighbors,
                               std::string(MetricName(metric)) + " q" +
                                   std::to_string(q));
         }
@@ -205,15 +205,16 @@ TEST_F(MetricSearchTest, FilteredSearchMatchesOracleOverAllowedSubset) {
       const std::vector<Neighbor> oracle =
           OracleAllowed(data_, queries_.Row(q), kK, metric, allowed);
       for (const bool batch : {true, false}) {
-        IvfSearchParams params = ExhaustiveParams(RerankPolicy::kErrorBound);
+        SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
         params.use_batch_estimator = batch;
         params.filter = IdFilter::AllowBitmap(bits.data(), kN);
-        std::vector<Neighbor> got;
-        ASSERT_TRUE(index.Search(queries_.Row(q), params, 800 + q, &got).ok());
-        for (const Neighbor& nb : got) {
+        params.seed = 800 + q;
+        const SearchResponse got = index.Search({queries_.Row(q), params});
+        ASSERT_TRUE(got.ok());
+        for (const Neighbor& nb : got.neighbors) {
           ASSERT_TRUE(allowed[nb.second]) << "filtered id returned";
         }
-        ExpectSameNeighbors(oracle, got,
+        ExpectSameNeighbors(oracle, got.neighbors,
                             std::string("filtered ") + MetricName(metric));
       }
     }
@@ -230,21 +231,24 @@ TEST_F(MetricSearchTest, FusedAndScalarEstimatorsBitIdenticalPerMetric) {
     for (const RerankPolicy policy :
          {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
           RerankPolicy::kNone}) {
-      IvfSearchParams fused;
+      SearchOptions fused;
       fused.k = kK;
       fused.nprobe = 5;
       fused.policy = policy;
       fused.rerank_candidates = 40;
       fused.use_batch_estimator = true;
-      IvfSearchParams scalar = fused;
+      SearchOptions scalar = fused;
       scalar.use_batch_estimator = false;
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        std::vector<Neighbor> fused_out, scalar_out;
-        ASSERT_TRUE(
-            index.Search(queries_.Row(q), fused, 900 + q, &fused_out).ok());
-        ASSERT_TRUE(
-            index.Search(queries_.Row(q), scalar, 900 + q, &scalar_out).ok());
-        ExpectSameNeighbors(scalar_out, fused_out,
+        fused.seed = 900 + q;
+        scalar.seed = 900 + q;
+        const SearchResponse fused_out =
+            index.Search({queries_.Row(q), fused});
+        const SearchResponse scalar_out =
+            index.Search({queries_.Row(q), scalar});
+        ASSERT_TRUE(fused_out.ok());
+        ASSERT_TRUE(scalar_out.ok());
+        ExpectSameNeighbors(scalar_out.neighbors, fused_out.neighbors,
                             std::string("fused-vs-scalar ") +
                                 MetricName(metric));
       }
@@ -264,7 +268,7 @@ TEST_F(MetricSearchTest, ShardedMatchesSingleShardPerMetric) {
     for (const RerankPolicy policy :
          {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
           RerankPolicy::kNone}) {
-      IvfSearchParams params;
+      SearchOptions params;
       params.k = kK;
       params.nprobe = 6;
       params.policy = policy;
@@ -278,12 +282,12 @@ TEST_F(MetricSearchTest, ShardedMatchesSingleShardPerMetric) {
         params.epsilon0_override = 8.0f;
       }
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        std::vector<Neighbor> want, got;
-        ASSERT_TRUE(
-            single.Search(queries_.Row(q), params, 1000 + q, &want).ok());
-        ASSERT_TRUE(
-            sharded.Search(queries_.Row(q), params, 1000 + q, &got).ok());
-        ExpectSameNeighbors(want, got,
+        params.seed = 1000 + q;
+        const SearchResponse want = single.Search({queries_.Row(q), params});
+        const SearchResponse got = sharded.Search({queries_.Row(q), params});
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
+        ExpectSameNeighbors(want.neighbors, got.neighbors,
                             std::string("sharded ") + MetricName(metric));
       }
     }
@@ -296,13 +300,14 @@ TEST_F(MetricSearchTest, PerShardClusteringExhaustiveMatchesOracle) {
   const Metric metric = EnvMetric(Metric::kCosine);
   const ShardedIndex sharded =
       BuildSharded(metric, 4, ShardClustering::kPerShard);
-  const IvfSearchParams params = ExhaustiveParams(RerankPolicy::kErrorBound);
+  SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     const std::vector<Neighbor> oracle =
         OracleAllowed(data_, queries_.Row(q), kK, metric, {});
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(sharded.Search(queries_.Row(q), params, 1100 + q, &got).ok());
-    ExpectSameNeighbors(oracle, got, "per-shard exhaustive");
+    params.seed = 1100 + q;
+    const SearchResponse got = sharded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(oracle, got.neighbors, "per-shard exhaustive");
   }
 }
 
@@ -317,12 +322,15 @@ TEST_F(MetricSearchTest, SnapshotRoundTripsMetric) {
     IvfRabitqIndex loaded;
     ASSERT_TRUE(loaded.Load(path).ok());
     EXPECT_EQ(loaded.metric(), metric);
-    const IvfSearchParams params = ExhaustiveParams(RerankPolicy::kErrorBound);
+    SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
     for (std::size_t q = 0; q < kNumQueries; ++q) {
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 1200 + q, &want).ok());
-      ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 1200 + q, &got).ok());
-      ExpectSameNeighbors(want, got, "snapshot round trip");
+      params.seed = 1200 + q;
+      const SearchResponse want = index.Search({queries_.Row(q), params});
+      const SearchResponse got = loaded.Search({queries_.Row(q), params});
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      ExpectSameNeighbors(want.neighbors, got.neighbors,
+                          "snapshot round trip");
     }
     std::filesystem::remove(path);
   }
@@ -342,14 +350,17 @@ TEST_F(MetricSearchTest, ShardedManifestRoundTripsMetric) {
   ASSERT_TRUE(loaded.Load(dir).ok());
   EXPECT_EQ(loaded.metric(), metric);
   ASSERT_EQ(loaded.num_shards(), sharded.num_shards());
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 6;
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> want, got;
-    ASSERT_TRUE(sharded.Search(queries_.Row(q), params, 1300 + q, &want).ok());
-    ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 1300 + q, &got).ok());
-    ExpectSameNeighbors(want, got, "sharded manifest round trip");
+    params.seed = 1300 + q;
+    const SearchResponse want = sharded.Search({queries_.Row(q), params});
+    const SearchResponse got = loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want.neighbors, got.neighbors,
+                        "sharded manifest round trip");
   }
   std::filesystem::remove_all(dir);
 }
@@ -361,15 +372,16 @@ TEST_F(MetricSearchTest, EngineServesMetricBatches) {
   const Metric metric = EnvMetric(Metric::kCosine);
   ShardedIndex reference = BuildSharded(metric, 2, ShardClustering::kShared);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 6;
 
   std::vector<std::vector<Neighbor>> want(kNumQueries);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    ASSERT_TRUE(reference
-                    .Search(queries_.Row(q), params, 5000 + q, &want[q])
-                    .ok());
+    params.seed = 5000 + q;
+    SearchResponse response = reference.Search({queries_.Row(q), params});
+    ASSERT_TRUE(response.ok());
+    want[q] = std::move(response.neighbors);
   }
 
   EngineConfig config;
@@ -430,11 +442,10 @@ TEST_F(MetricSearchTest, CosineRejectsZeroNormVectors) {
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(index.IsDeleted(0)) << "failed update must not tombstone";
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 4;
-  std::vector<Neighbor> out;
-  EXPECT_EQ(index.Search(zero.data(), params, std::uint64_t{0}, &out).code(),
+  EXPECT_EQ(index.Search({zero.data(), params}).status.code(),
             StatusCode::kInvalidArgument);
 }
 

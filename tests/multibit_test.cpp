@@ -354,8 +354,8 @@ class MultibitSearchTest : public ::testing::Test {
   }
 
   // Exhaustive exact settings: full probe, never prune.
-  static IvfSearchParams ExhaustiveParams() {
-    IvfSearchParams params;
+  static SearchOptions ExhaustiveParams() {
+    SearchOptions params;
     params.k = kK;
     params.nprobe = kLists;
     params.epsilon0_override = 50.0f;
@@ -382,13 +382,14 @@ TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
         const std::vector<Neighbor> oracle =
             OracleAllowed(data_, queries_.Row(q), kK, metric, {});
         for (const bool batch : {true, false}) {
-          IvfSearchParams params = ExhaustiveParams();
+          SearchOptions params = ExhaustiveParams();
           params.use_batch_estimator = batch;
-          std::vector<Neighbor> got;
-          IvfSearchStats stats;
-          ASSERT_TRUE(
-              index.Search(queries_.Row(q), params, 600 + q, &got, &stats)
-                  .ok());
+          params.seed = 600 + q;
+          const SearchResponse response =
+              index.Search({queries_.Row(q), params});
+          ASSERT_TRUE(response.ok());
+          const std::vector<Neighbor>& got = response.neighbors;
+          const IvfSearchStats& stats = response.stats;
           const std::string label = std::string(MetricName(metric)) + " B" +
                                     std::to_string(bits) +
                                     (batch ? " batch" : " scalar") + " q" +
@@ -412,19 +413,21 @@ TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
 TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
   for (const std::size_t bits : kWidths) {
     const IvfRabitqIndex index = BuildSingle(Metric::kL2, bits);
-    IvfSearchParams batch;
+    SearchOptions batch;
     batch.k = kK;
     batch.nprobe = 4;
     batch.policy = RerankPolicy::kErrorBound;
-    IvfSearchParams scalar = batch;
+    SearchOptions scalar = batch;
     scalar.use_batch_estimator = false;
     for (std::size_t q = 0; q < kNumQueries; ++q) {
-      std::vector<Neighbor> batch_out, scalar_out;
-      ASSERT_TRUE(
-          index.Search(queries_.Row(q), batch, 700 + q, &batch_out).ok());
-      ASSERT_TRUE(
-          index.Search(queries_.Row(q), scalar, 700 + q, &scalar_out).ok());
-      ExpectSameNeighbors(scalar_out, batch_out,
+      batch.seed = 700 + q;
+      scalar.seed = 700 + q;
+      const SearchResponse batch_out = index.Search({queries_.Row(q), batch});
+      const SearchResponse scalar_out =
+          index.Search({queries_.Row(q), scalar});
+      ASSERT_TRUE(batch_out.ok());
+      ASSERT_TRUE(scalar_out.ok());
+      ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
                           "partial-probe B" + std::to_string(bits));
     }
     // kFixedCandidates / kNone rank their pools by the full B_d-bit
@@ -432,23 +435,24 @@ TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
     // in for the exact distance there), and batch / non-batch still agree.
     for (const RerankPolicy policy :
          {RerankPolicy::kFixedCandidates, RerankPolicy::kNone}) {
-      IvfSearchParams params = batch;
+      SearchOptions params = batch;
       params.policy = policy;
       params.rerank_candidates = 40;
-      IvfSearchParams params_scalar = params;
+      SearchOptions params_scalar = params;
       params_scalar.use_batch_estimator = false;
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        std::vector<Neighbor> batch_out, scalar_out;
-        IvfSearchStats stats;
-        ASSERT_TRUE(
-            index.Search(queries_.Row(q), params, 711 + q, &batch_out, &stats)
-                .ok());
-        ASSERT_TRUE(index.Search(queries_.Row(q), params_scalar, 711 + q,
-                                 &scalar_out)
-                        .ok());
-        ExpectSameNeighbors(scalar_out, batch_out,
+        params.seed = 711 + q;
+        params_scalar.seed = 711 + q;
+        const SearchResponse batch_out =
+            index.Search({queries_.Row(q), params});
+        const SearchResponse scalar_out =
+            index.Search({queries_.Row(q), params_scalar});
+        ASSERT_TRUE(batch_out.ok());
+        ASSERT_TRUE(scalar_out.ok());
+        ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
                             "pool policy B" + std::to_string(bits));
-        EXPECT_EQ(stats.codes_refined, stats.codes_estimated);
+        EXPECT_EQ(batch_out.stats.codes_refined,
+                  batch_out.stats.codes_estimated);
       }
     }
   }
@@ -493,12 +497,14 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
   }
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     for (const bool batch : {true, false}) {
-      IvfSearchParams params = ExhaustiveParams();
+      SearchOptions params = ExhaustiveParams();
       params.use_batch_estimator = batch;
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 800 + q, &want).ok());
-      ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 800 + q, &got).ok());
-      ExpectSameNeighbors(want, got, "v4 round trip");
+      params.seed = 800 + q;
+      const SearchResponse want = index.Search({queries_.Row(q), params});
+      const SearchResponse got = loaded.Search({queries_.Row(q), params});
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      ExpectSameNeighbors(want.neighbors, got.neighbors, "v4 round trip");
     }
   }
   std::filesystem::remove(path);
@@ -536,11 +542,12 @@ TEST_F(MultibitSearchTest, LifecycleKeepsMultiBitPayloadConsistent) {
     const std::vector<Neighbor> oracle =
         OracleAllowed(all, queries_.Row(q), kK, Metric::kL2, allowed);
     for (const bool batch : {true, false}) {
-      IvfSearchParams params = ExhaustiveParams();
+      SearchOptions params = ExhaustiveParams();
       params.use_batch_estimator = batch;
-      std::vector<Neighbor> got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 900 + q, &got).ok());
-      ExpectSameNeighbors(oracle, got, "lifecycle B4");
+      params.seed = 900 + q;
+      const SearchResponse got = index.Search({queries_.Row(q), params});
+      ASSERT_TRUE(got.ok());
+      ExpectSameNeighbors(oracle, got.neighbors, "lifecycle B4");
     }
   }
 }
@@ -559,7 +566,7 @@ TEST_F(MultibitSearchTest, ShardedAndEngineServeMultiBit) {
   ASSERT_TRUE(sharded.Build(data_, config).ok());
   const IvfRabitqIndex single = BuildSingle(Metric::kL2, 4);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 5;
   params.policy = RerankPolicy::kErrorBound;
@@ -568,14 +575,14 @@ TEST_F(MultibitSearchTest, ShardedAndEngineServeMultiBit) {
   params.epsilon0_override = 8.0f;
   std::vector<std::vector<Neighbor>> want(kNumQueries);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> got;
-    IvfSearchStats stats;
-    ASSERT_TRUE(
-        single.Search(queries_.Row(q), params, 1000 + q, &want[q]).ok());
-    ASSERT_TRUE(
-        sharded.Search(queries_.Row(q), params, 1000 + q, &got, &stats).ok());
-    ExpectSameNeighbors(want[q], got, "sharded B4");
-    EXPECT_GT(stats.codes_refined, 0u) << "merged stats drop refinements";
+    params.seed = 1000 + q;
+    SearchResponse single_response = single.Search({queries_.Row(q), params});
+    const SearchResponse got = sharded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(single_response.ok());
+    ASSERT_TRUE(got.ok());
+    want[q] = std::move(single_response.neighbors);
+    ExpectSameNeighbors(want[q], got.neighbors, "sharded B4");
+    EXPECT_GT(got.stats.codes_refined, 0u) << "merged stats drop refinements";
   }
 
   EngineConfig engine_config;

@@ -1,14 +1,10 @@
-// The unified SearchRequest/SearchResponse API and its compatibility shims:
-//   * old raw-pointer overloads (index / sharded / engine) are bit-identical
-//     to the request API at equal seeds -- they ARE the request API now
-//     (thin shims in search_compat.h), and these tests pin that;
+// The unified SearchRequest/SearchResponse API:
 //   * seed semantics: explicit options.seed is used verbatim at every
-//     layer; unset seeds fall back to the documented defaults;
+//     layer; unset seeds fall back to the documented defaults (seed 0 for a
+//     bare index, QuerySeed(config seed, batch position) for an engine
+//     batch);
 //   * the Metric enum is validated at build (and survives save/load);
 //   * request-level error paths report through SearchResponse.status.
-//
-// This TU deliberately calls the deprecated API (RABITQ_SUPPRESS_DEPRECATED
-// is set for test targets) -- it is the compat coverage.
 
 #include <gtest/gtest.h>
 
@@ -64,49 +60,6 @@ class SearchApiTest : public ::testing::Test {
   Matrix queries_;
   IvfRabitqIndex index_;
 };
-
-TEST_F(SearchApiTest, SeededOverloadMatchesRequestApiBitIdentically) {
-  for (const bool batch_estimator : {true, false}) {
-    for (std::size_t q = 0; q < queries_.rows(); ++q) {
-      const std::uint64_t seed = 1234 + q;
-      SearchOptions options = Options();
-      options.use_batch_estimator = batch_estimator;
-
-      std::vector<Neighbor> old_result;
-      IvfSearchStats old_stats;
-      ASSERT_TRUE(index_
-                      .Search(queries_.Row(q), options, seed, &old_result,
-                              &old_stats)
-                      .ok());
-
-      SearchRequest request{queries_.Row(q), options};
-      request.options.seed = seed;
-      const SearchResponse response = index_.Search(request);
-      ASSERT_TRUE(response.ok());
-      EXPECT_EQ(response.neighbors, old_result);
-      EXPECT_EQ(response.stats.codes_estimated, old_stats.codes_estimated);
-      EXPECT_EQ(response.stats.candidates_reranked,
-                old_stats.candidates_reranked);
-      EXPECT_EQ(response.stats.lists_probed, old_stats.lists_probed);
-      EXPECT_EQ(response.stats.codes_filtered, old_stats.codes_filtered);
-    }
-  }
-}
-
-TEST_F(SearchApiTest, RngOverloadMatchesCallerDrawnSeed) {
-  for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    Rng rng(99 + q);
-    const std::uint64_t drawn = Rng(99 + q).NextU64();
-
-    std::vector<Neighbor> old_result;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), Options(), &rng, &old_result).ok());
-
-    SearchRequest request{queries_.Row(q), Options()};
-    request.options.seed = drawn;
-    EXPECT_EQ(index_.Search(request).neighbors, old_result);
-  }
-}
 
 TEST_F(SearchApiTest, UnsetSeedDefaultsToZero) {
   SearchRequest unseeded{queries_.Row(0), Options()};
@@ -170,46 +123,6 @@ TEST_F(SearchApiTest, MetricSurvivesSnapshotRoundTrip) {
 
 // ---------------------------------------------------------------------------
 
-class ShardedApiTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    data_ = ClusteredData(1500, 32, 10, 71);
-    queries_ = ClusteredData(6, 32, 10, 72);
-    ShardedConfig config;
-    config.num_shards = 3;
-    config.clustering = ShardClustering::kShared;
-    config.ivf.num_lists = 12;
-    ASSERT_TRUE(index_.Build(data_, config).ok());
-  }
-
-  Matrix data_;
-  Matrix queries_;
-  ShardedIndex index_;
-};
-
-TEST_F(ShardedApiTest, SeededOverloadMatchesRequestApi) {
-  SearchOptions options;
-  options.k = 10;
-  options.nprobe = 8;
-  for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    const std::uint64_t seed = 808 + q;
-    std::vector<Neighbor> old_result;
-    IvfSearchStats old_stats;
-    ASSERT_TRUE(index_
-                    .Search(queries_.Row(q), options, seed, &old_result,
-                            &old_stats)
-                    .ok());
-    SearchRequest request{queries_.Row(q), options};
-    request.options.seed = seed;
-    const SearchResponse response = index_.Search(request);
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response.neighbors, old_result);
-    EXPECT_EQ(response.stats.lists_probed, old_stats.lists_probed);
-  }
-}
-
-// ---------------------------------------------------------------------------
-
 class EngineApiTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kNumQueries = 12;
@@ -232,40 +145,6 @@ class EngineApiTest : public ::testing::Test {
   std::unique_ptr<SearchEngine> engine_;
 };
 
-TEST_F(EngineApiTest, RawPointerBatchShimMatchesRequestCore) {
-  const std::uint64_t seed_base = 20240607;
-  std::vector<std::vector<Neighbor>> old_results;
-  IvfSearchStats old_agg;
-  ASSERT_TRUE(engine_
-                  ->SearchBatch(queries_.Row(0), kNumQueries, options_,
-                                seed_base, &old_results, &old_agg)
-                  .ok());
-
-  std::vector<SearchRequest> requests(kNumQueries);
-  for (std::size_t i = 0; i < kNumQueries; ++i) {
-    requests[i].query = queries_.Row(i);
-    requests[i].options = options_;
-    requests[i].options.seed = SearchEngine::QuerySeed(seed_base, i);
-  }
-  std::vector<SearchResponse> responses;
-  ASSERT_TRUE(
-      engine_->SearchBatch(requests.data(), kNumQueries, &responses).ok());
-
-  IvfSearchStats new_agg;
-  for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ASSERT_TRUE(responses[i].ok());
-    EXPECT_EQ(responses[i].neighbors, old_results[i]) << "query " << i;
-    new_agg.codes_estimated += responses[i].stats.codes_estimated;
-    new_agg.candidates_reranked += responses[i].stats.candidates_reranked;
-    new_agg.lists_probed += responses[i].stats.lists_probed;
-    new_agg.codes_filtered += responses[i].stats.codes_filtered;
-  }
-  EXPECT_EQ(new_agg.codes_estimated, old_agg.codes_estimated);
-  EXPECT_EQ(new_agg.candidates_reranked, old_agg.candidates_reranked);
-  EXPECT_EQ(new_agg.lists_probed, old_agg.lists_probed);
-  EXPECT_EQ(new_agg.codes_filtered, old_agg.codes_filtered);
-}
-
 TEST_F(EngineApiTest, SingleSearchMatchesSeededBatchEntry) {
   SearchRequest request{queries_.Row(0), options_};
   request.options.seed = 4711;
@@ -274,22 +153,6 @@ TEST_F(EngineApiTest, SingleSearchMatchesSeededBatchEntry) {
   std::vector<SearchResponse> responses;
   ASSERT_TRUE(engine_->SearchBatch(&request, 1, &responses).ok());
   EXPECT_EQ(single.neighbors, responses[0].neighbors);
-}
-
-TEST_F(EngineApiTest, AsyncShimsMatchRequestSubmission) {
-  const std::uint64_t seed = 999;
-  SearchRequest request{queries_.Row(1), options_};
-  request.options.seed = seed;
-  SearchResponse via_request = engine_->SubmitAsync(request).get();
-  SearchResponse via_shim =
-      engine_->SubmitAsync(queries_.Row(1), options_, seed).get();
-  ASSERT_TRUE(via_request.ok() && via_shim.ok());
-  EXPECT_EQ(via_request.neighbors, via_shim.neighbors);
-
-  // EngineResult remains an alias of SearchResponse for legacy callers.
-  EngineResult legacy = engine_->SubmitAsync(queries_.Row(1), options_, seed)
-                            .get();
-  EXPECT_EQ(legacy.neighbors, via_request.neighbors);
 }
 
 TEST_F(EngineApiTest, NullQueryFailsClosed) {
@@ -320,30 +183,53 @@ TEST_F(EngineApiTest, MixedNullAndValidBatchExecutesTheValidRequests) {
   const SearchResponse expected = engine_->Search(valid);
   ASSERT_TRUE(expected.ok());
 
+  // Unset seeds resolve to QuerySeed(config seed, batch position). kNone
+  // returns the seed-dependent estimates themselves, so a wrong seed shows.
+  SearchOptions estimates = options_;
+  estimates.policy = RerankPolicy::kNone;
+  const auto seeded_at = [&](const float* query, std::uint64_t position) {
+    SearchRequest request{query, estimates};
+    request.options.seed =
+        SearchEngine::QuerySeed(EngineConfig{}.seed, position);
+    const SearchResponse response = engine_->Search(request);
+    EXPECT_TRUE(response.ok());
+    return response.neighbors;
+  };
+  const SearchRequest unseeded_a{queries_.Row(1), estimates};
+  const SearchRequest unseeded_b{queries_.Row(2), estimates};
+
+  // An all-valid batch: positions 0 and 1.
+  std::vector<SearchRequest> dense = {unseeded_a, unseeded_b};
+  std::vector<SearchResponse> responses;
+  ASSERT_TRUE(
+      engine_->SearchBatch(dense.data(), dense.size(), &responses).ok());
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].neighbors, seeded_at(queries_.Row(1), 0));
+  EXPECT_EQ(responses[1].neighbors, seeded_at(queries_.Row(2), 1));
+
+  // Null requests ahead of an unseeded one: its position (3) counts, not
+  // its slot among the valid requests (1).
   std::vector<SearchRequest> requests = {SearchRequest{nullptr, options_},
                                          valid,
-                                         SearchRequest{nullptr, options_}};
-  std::vector<SearchResponse> responses;
+                                         SearchRequest{nullptr, options_},
+                                         unseeded_a};
   EXPECT_EQ(engine_->SearchBatch(requests.data(), requests.size(), &responses)
                 .code(),
             StatusCode::kInvalidArgument);
-  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_EQ(responses.size(), 4u);
   EXPECT_FALSE(responses[0].ok());
   EXPECT_FALSE(responses[2].ok());
   ASSERT_TRUE(responses[1].ok());
   EXPECT_EQ(responses[1].neighbors, expected.neighbors);
+  ASSERT_TRUE(responses[3].ok());
+  EXPECT_EQ(responses[3].neighbors, seeded_at(queries_.Row(1), 3));
+  EXPECT_NE(responses[3].neighbors, seeded_at(queries_.Row(1), 1));
 }
 
-TEST_F(EngineApiTest, EmptyBatchIsOkThroughCoreAndShim) {
+TEST_F(EngineApiTest, EmptyBatchIsOk) {
   std::vector<SearchResponse> responses;
   EXPECT_TRUE(engine_->SearchBatch(nullptr, 0, &responses).ok());
   EXPECT_TRUE(responses.empty());
-  // The deprecated raw-pointer shim forwards an empty vector's data()
-  // (possibly nullptr); zero queries must stay a successful no-op.
-  std::vector<std::vector<Neighbor>> results;
-  EXPECT_TRUE(
-      engine_->SearchBatch(queries_.Row(0), 0, options_, &results).ok());
-  EXPECT_TRUE(results.empty());
 }
 
 TEST_F(EngineApiTest, ExplicitSeedSubmissionDoesNotConsumeAutoSeedTicket) {

@@ -129,17 +129,22 @@ TEST_F(IvfSerializeTest, SaveLoadRoundTripPreservesSearchResults) {
   EXPECT_EQ(loaded.num_lists(), index_.num_lists());
   EXPECT_EQ(loaded.encoder().total_bits(), index_.encoder().total_bits());
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 16;
   for (std::size_t q = 0; q < queries_.rows(); ++q) {
     // Same rng stream -> identical randomized rounding -> identical results.
     Rng rng_a(900 + q), rng_b(900 + q);
-    std::vector<Neighbor> original, restored;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), params, &rng_a, &original).ok());
-    ASSERT_TRUE(
-        loaded.Search(queries_.Row(q), params, &rng_b, &restored).ok());
+    params.seed = rng_a.NextU64();
+    const SearchResponse original_response =
+        index_.Search({queries_.Row(q), params});
+    params.seed = rng_b.NextU64();
+    const SearchResponse restored_response =
+        loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(original_response.ok());
+    ASSERT_TRUE(restored_response.ok());
+    const std::vector<Neighbor>& original = original_response.neighbors;
+    const std::vector<Neighbor>& restored = restored_response.neighbors;
     ASSERT_EQ(original.size(), restored.size());
     for (std::size_t i = 0; i < original.size(); ++i) {
       EXPECT_EQ(original[i].second, restored[i].second);
@@ -214,11 +219,13 @@ TEST_F(IvfSerializeTest, AddInsertsSearchableVector) {
   EXPECT_EQ(id, kN);
   EXPECT_EQ(index_.size(), kN + 1);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 1;
   params.nprobe = index_.num_lists();
-  std::vector<Neighbor> result;
-  ASSERT_TRUE(index_.Search(novel.data(), params, &rng, &result).ok());
+  params.seed = rng.NextU64();
+  const SearchResponse response = index_.Search({novel.data(), params});
+  ASSERT_TRUE(response.ok());
+  const std::vector<Neighbor>& result = response.neighbors;
   ASSERT_FALSE(result.empty());
   EXPECT_EQ(result[0].second, id);
   EXPECT_NEAR(result[0].first, 0.0f, 1e-4f);
