@@ -56,51 +56,6 @@ inline void AssembleLane(float s_f, float pc_f, float d, float f_sq,
   *lb_out = lb;
 }
 
-// Assembles the distance estimate from the raw bit dot product S = <x_b, qu>.
-// Same per-lane operation order as AssembleLane (early returns instead of
-// blends -- the values are identical), plus the ip/ip_error outputs the
-// batch path does not carry.
-inline DistanceEstimate Assemble(const QuantizedQuery& query,
-                                 const RabitqCodeView& code, std::uint32_t s,
-                                 float epsilon0, bool unbias) {
-  DistanceEstimate est;
-  // The exact-edge early returns are L2-only, mirroring AssembleLane's
-  // gated blends; under IP/cosine the straight-line arithmetic below is
-  // already exact at both edges (cross = 0).
-  if (query.metric == Metric::kL2) {
-    if (code.dist_to_centroid == 0.0f) {
-      est.dist_sq = query.q_base;
-      est.lower_bound_sq = est.dist_sq;
-      est.ip = 1.0f;
-      return est;
-    }
-    if (query.q_dist == 0.0f) {
-      est.dist_sq = code.f_sq;
-      est.lower_bound_sq = est.dist_sq;
-      est.ip = 1.0f;
-      return est;
-    }
-  }
-  // Eq. 20: <x-bar, q-bar>.
-  const float x_qbar =
-      std::fma(query.ip_scale, static_cast<float>(s),
-               std::fma(query.pop_scale, static_cast<float>(code.bit_count),
-                        query.bias));
-  // Thm 3.2: multiply by the precomputed 1/<o-bar, o> for unbiasedness; the
-  // biased ablation (Appendix F.2) keeps <o-bar, q> as-is.
-  est.ip = unbias ? x_qbar * code.f_inv_oo : x_qbar;
-  const float cross = code.f_cross * query.q_dist;
-  const float base = code.f_sq + query.q_base;
-  est.dist_sq = std::fma(-cross, est.ip, base);
-  if (epsilon0 > 0.0f) {
-    est.ip_error = code.f_err * epsilon0;
-    est.lower_bound_sq = std::fma(-cross, est.ip_error, est.dist_sq);
-  } else {
-    est.lower_bound_sq = est.dist_sq;
-  }
-  return est;
-}
-
 // One lane of the multi-bit refine assembly (stage 2); the same 1:1
 // scalar/SIMD operation-order discipline as AssembleLane. The front end
 // differs -- <x-bar, q-bar> comes from the weighted plane sum S and the
@@ -387,6 +342,34 @@ inline std::uint32_t FusedBlockDispatch(const QuantizedQuery& query,
                           prune_threshold, dist_sq, lower_bounds);
 }
 
+// Single-code 1-bit estimate: B_q bitwise passes (Eq. 22), then the block
+// kernels' own AssembleLane, so this path is bit-identical to the fused
+// ones by construction. Adds the ip / ip_error outputs the block kernels do
+// not carry (ip = 1, ip_error = 0 at the two L2 edges). `f_inv_oo` = 1
+// skips Thm 3.2's division by <o-bar, o>: the biased ablation of Appendix
+// F.2, which keeps <o-bar, q> as its estimate.
+DistanceEstimate EstimateSingle(const QuantizedQuery& query,
+                                const RabitqCodeView& code, float f_inv_oo,
+                                float epsilon0) {
+  const float s_f = static_cast<float>(BitwiseDotQuery(query, code.bits));
+  const float pc_f = static_cast<float>(code.bit_count);
+  const bool l2_edges = query.metric == Metric::kL2;
+  DistanceEstimate est;
+  AssembleLane(s_f, pc_f, code.dist_to_centroid, code.f_sq, code.f_cross,
+               f_inv_oo, code.f_err, query.q_dist, query.q_base,
+               query.ip_scale, query.pop_scale, query.bias, epsilon0, l2_edges,
+               &est.dist_sq, &est.lower_bound_sq);
+  if (l2_edges && (code.dist_to_centroid == 0.0f || query.q_dist == 0.0f)) {
+    est.ip = 1.0f;
+    return est;
+  }
+  est.ip = std::fma(query.ip_scale, s_f,
+                    std::fma(query.pop_scale, pc_f, query.bias)) *
+           f_inv_oo;
+  est.ip_error = epsilon0 > 0.0f ? code.f_err * epsilon0 : 0.0f;
+  return est;
+}
+
 }  // namespace
 
 float IpErrorBound(float o_o, float epsilon0, std::size_t total_bits) {
@@ -404,14 +387,12 @@ std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
 
 DistanceEstimate EstimateDistance(const QuantizedQuery& query,
                                   const RabitqCodeView& code, float epsilon0) {
-  const std::uint32_t s = BitwiseDotQuery(query, code.bits);
-  return Assemble(query, code, s, epsilon0, /*unbias=*/true);
+  return EstimateSingle(query, code, code.f_inv_oo, epsilon0);
 }
 
 DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
                                         const RabitqCodeView& code) {
-  const std::uint32_t s = BitwiseDotQuery(query, code.bits);
-  return Assemble(query, code, s, /*epsilon0=*/0.0f, /*unbias=*/false);
+  return EstimateSingle(query, code, /*f_inv_oo=*/1.0f, /*epsilon0=*/0.0f);
 }
 
 std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
@@ -560,57 +541,20 @@ void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block) {
 
 void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds) {
-  if (!query.has_exact_luts || !store.finalized()) {
-    // B_q > 6 has no lossless u8 LUTs; fall back to the bitwise path.
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const DistanceEstimate est =
-          EstimateDistance(query, store.View(i), epsilon0);
-      dist_sq[i] = est.dist_sq;
-      if (lower_bounds != nullptr) lower_bounds[i] = est.lower_bound_sq;
-    }
-    return;
-  }
   // No pruning here (+inf threshold); the dispatcher's scalar tail writes
   // exactly the partial block's lanes, so results land in place.
-  const FastScanCodes& packed = store.packed();
+  const bool fast_scan = query.has_exact_luts && store.finalized();
+  const std::size_t num_blocks =
+      (store.size() + kFastScanBlockSize - 1) / kFastScanBlockSize;
   std::uint32_t sums[kFastScanBlockSize];
-  for (std::size_t block = 0; block < packed.num_blocks; ++block) {
+  for (std::size_t block = 0; block < num_blocks; ++block) {
     const std::size_t begin = block * kFastScanBlockSize;
     PrefetchBlockData(store, block + 1);
-    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
-                            query.luts.data(), sums);
+    AccumulateBlockSums(query, store, block, fast_scan, sums);
     float* const lb = lower_bounds == nullptr ? nullptr : lower_bounds + begin;
     FusedBlockDispatch(query, store, block, sums, epsilon0,
                        std::numeric_limits<float>::infinity(), dist_sq + begin,
                        lb);
-  }
-}
-
-void EstimateAllMulti(const QuantizedQuery& query,
-                      const RabitqCodeStore& store, float epsilon0,
-                      float* dist_sq, float* lower_bounds) {
-  if (!query.has_exact_luts || !store.finalized()) {
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const DistanceEstimate est =
-          EstimateDistanceMulti(query, store, i, epsilon0);
-      dist_sq[i] = est.dist_sq;
-      lower_bounds[i] = est.lower_bound_sq;
-    }
-    return;
-  }
-  const FastScanCodes& packed = store.packed();
-  std::uint32_t sums[kFastScanBlockSize];
-  std::uint32_t msums[kFastScanBlockSize];
-  for (std::size_t block = 0; block < packed.num_blocks; ++block) {
-    const std::size_t begin = block * kFastScanBlockSize;
-    PrefetchBlockData(store, block + 1);
-    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
-                            query.luts.data(), sums);
-    AccumulateMultiBlockSums(query, store, block, sums, msums);
-    EstimateBlockMultiPruned(query, store, block, msums, epsilon0,
-                             std::numeric_limits<float>::infinity(),
-                             0xFFFFFFFFu, dist_sq + begin,
-                             lower_bounds + begin);
   }
 }
 

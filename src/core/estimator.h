@@ -13,15 +13,18 @@
 // product -<o_r, q_r>, with the halved f_cross doubling as the IP-analogue
 // error half-width. The two exact edge blends (q_dist == 0, d == 0) are
 // L2-only and gated on query.metric identically in every path.
-// Two execution paths, each with one entry point per code width:
-//   * single code, B_q bitwise and+popcount passes (Eq. 22):
-//     EstimateDistance (1-bit) and EstimateDistanceMulti (B_d-bit), plus
-//     EstimateDistanceBiased, the uncorrected Table 7 ablation;
-//   * packed block of 32 codes, the shared fast-scan kernel (Section 3.3.2)
-//     then a fused float assembly: EstimateBlockFusedPruned (1-bit) and
-//     EstimateBlockMultiPruned (the B_d-bit refine, fed by
-//     AccumulateMultiBlockSums), each with a bit-exact *Scalar reference.
-// EstimateAll / EstimateAllMulti run the block path over a whole store.
+// Two ways to compute the integer <x_b, q-bar_u> -- B_q bitwise and+popcount
+// passes (Eq. 22), or the fast-scan LUT kernel (Section 3.3.2, lossless
+// only when query.has_exact_luts, i.e. B_q <= 6) -- and one assembly:
+//   * single code: EstimateDistance (1-bit) and EstimateDistanceMulti
+//     (B_d-bit), plus EstimateDistanceBiased, the uncorrected Table 7
+//     ablation; always bitwise;
+//   * block of 32 codes: AccumulateBlockSums picks the source of the
+//     block's sums, then a fused float assembly: EstimateBlockFusedPruned
+//     (1-bit) and EstimateBlockMultiPruned (the B_d-bit refine, fed by
+//     AccumulateMultiBlockSums or per-lane BitwiseDotQueryMulti), each with
+//     a bit-exact *Scalar reference.
+// EstimateAll runs the block path over a whole store.
 //
 // The assembly consumes the factors precomputed at append time by
 // RabitqCodeStore (f_sq, f_cross, f_inv_oo, f_err), so per lane it is four
@@ -34,10 +37,12 @@
 #ifndef RABITQ_CORE_ESTIMATOR_H_
 #define RABITQ_CORE_ESTIMATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/query.h"
 #include "core/rabitq.h"
+#include "quant/fastscan.h"
 
 namespace rabitq {
 
@@ -66,25 +71,28 @@ DistanceEstimate EstimateDistance(const QuantizedQuery& query,
 DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
                                         const RabitqCodeView& code);
 
-/// Fused assembly over one packed fast-scan block (32 codes) given its
-/// fast-scan sums `sums` (from FastScanAccumulateBlock): writes estimated
-/// distances and eps0 lower bounds (`lower_bounds` may be null) and returns
-/// a survivors bitmask. Output buffers must hold kFastScanBlockSize floats
-/// -- a full block is stored 8 lanes at a time, and lanes past size() on
-/// the tail block are left untouched. AVX2+FMA when available,
-/// bit-identical to the scalar reference. Requires query.has_exact_luts
-/// (B_q <= 6) and store.finalized().
+/// Fused assembly over one block (32 codes) given its sums `sums`
+/// (<x_b, q-bar_u> per lane, from either source: see AccumulateBlockSums):
+/// writes estimated distances and eps0 lower bounds (`lower_bounds` may be
+/// null) and returns a survivors bitmask. Output buffers must hold
+/// kFastScanBlockSize floats -- a full block is stored 8 lanes at a time,
+/// and lanes past size() on the tail block are left untouched. AVX2+FMA
+/// when available, bit-identical to the scalar reference. Reads only the
+/// store's factor arrays, never its packed layout or the query's LUTs, so
+/// has_exact_luts and finalized() constrain the LUT source of `sums`, not
+/// this kernel.
 ///
-/// The mask serves the kErrorBound policy's in-kernel pruning: bit k set
+/// The mask is the scan's candidate set, pruned in-kernel: bit k set
 /// iff lane k is a real code (k < count for a tail block), is not
 /// tombstoned (`dead`, 32 flags for this block, may be null when the list
 /// has no tombstones), is allowed by `lane_mask` (bit k clear drops lane k
 /// -- the per-query IdFilter's pushdown, all-ones when unfiltered) and its
 /// lower bound does not exceed `prune_threshold` (the caller's current
 /// top-k threshold; pass +infinity -- NOT FLT_MAX -- to disable pruning,
-/// e.g. while the heap is still filling: a lower bound that overflowed to
-/// +inf must survive then, and only `> inf` guarantees that). The caller
-/// walks set bits only, fusing candidate selection into the scan.
+/// e.g. under the estimate-only policies or while the heap is still
+/// filling: a lower bound that overflowed to +inf must survive then, and
+/// only `> inf` guarantees that). The caller walks set bits only, fusing
+/// candidate selection into the scan.
 std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
                                        const RabitqCodeStore& store,
                                        std::size_t block,
@@ -104,10 +112,10 @@ std::uint32_t EstimateBlockFusedPrunedScalar(
 
 // --- Multi-bit refine kernels (stores with bits_per_dim > 1) --------------
 //
-// Stage 2 of the two-stage error-bound scan: the 1-bit kernels above prune
-// with the sign plane, then the survivors are re-estimated from the full
-// B_d-bit code. With x-bar_i = m_alpha * u_i + m_beta (see rabitq.h) the
-// assembly is
+// Stage 2 of the two-stage scan: the 1-bit kernels above prune with the
+// sign plane, then the survivors (under the estimate-only policies, every
+// live allowed code) are re-estimated from the full B_d-bit code. With
+// x-bar_i = m_alpha * u_i + m_beta (see rabitq.h) the assembly is
 //   <x-bar, q-bar> = m_alpha * (step * S + lo * sum(u)) + m_beta * kq,
 //   S = sum_j 2^j <plane_j, q-bar_u>   (sign plane = MSB plane)
 // followed by the same cross/base/bound arithmetic as the 1-bit lane, using
@@ -139,11 +147,15 @@ void AccumulateMultiBlockSums(const QuantizedQuery& query,
 
 /// Stage-2 refine over one block: assembles the multi-bit estimate and
 /// lower bound for the lanes set in `candidate_mask` (stage-1 survivors)
-/// and returns the refined survivors mask -- candidate lanes whose
-/// multi-bit lower bound does not exceed `prune_threshold` (same strict >,
-/// same +inf no-prune sentinel as EstimateBlockFusedPruned). Outputs at
-/// lanes outside `candidate_mask` are unspecified (the SIMD path may write
-/// whole 8-lane groups, and skips groups with no candidates entirely).
+/// from their weighted sums `multi_sums` (either source:
+/// AccumulateMultiBlockSums, or BitwiseDotQueryMulti per candidate lane --
+/// the SIMD path reads whole 8-lane groups, so the other lanes must hold
+/// initialized values, which it ignores) and returns the refined survivors
+/// mask -- candidate lanes whose multi-bit lower bound does not exceed
+/// `prune_threshold` (same strict >, same +inf no-prune sentinel as
+/// EstimateBlockFusedPruned). Outputs at lanes outside `candidate_mask`
+/// are unspecified (the SIMD path may write whole 8-lane groups, and skips
+/// groups with no candidates entirely).
 std::uint32_t EstimateBlockMultiPruned(const QuantizedQuery& query,
                                        const RabitqCodeStore& store,
                                        std::size_t block,
@@ -159,25 +171,40 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
     float prune_threshold, std::uint32_t candidate_mask, float* dist_sq,
     float* lower_bounds);
 
+/// Fills `sums` with <x_b, q-bar_u> for block `block`'s lanes (lanes past
+/// size() on the tail block are left untouched). `fast_scan` selects the
+/// fast-scan LUT kernel, which requires query.has_exact_luts and
+/// store.finalized(); otherwise each lane takes B_q bitwise passes
+/// (BitwiseDotQuery), which works at any B_q. The two sources are equal.
+inline void AccumulateBlockSums(const QuantizedQuery& query,
+                                const RabitqCodeStore& store,
+                                std::size_t block, bool fast_scan,
+                                std::uint32_t* sums) {
+  if (fast_scan) {
+    const FastScanCodes& packed = store.packed();
+    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
+                            query.luts.data(), sums);
+    return;
+  }
+  const std::size_t begin = block * kFastScanBlockSize;
+  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
+  for (std::size_t k = 0; k < count; ++k) {
+    sums[k] = BitwiseDotQuery(query, store.BitsAt(begin + k));
+  }
+}
+
 /// Software-prefetches block `block`'s packed codes and factor arrays into
 /// cache; no-op past the last block. The block scan loops (EstimateAll, the
-/// IVF fused selection loop) call this one block ahead so the next block's
+/// IVF list scan) call this one block ahead so the next block's
 /// data streams in while the current block is assembled.
 void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block);
 
-/// Estimates all codes in `store` through the fast-scan path; `dist_sq`
-/// (and `lower_bounds` if non-null) must hold store.size() floats.
+/// Estimates all codes in `store` through the block path, with fast-scan
+/// sums when query.has_exact_luts and store.finalized(), bitwise sums
+/// otherwise; `dist_sq` (and `lower_bounds` if non-null) must hold
+/// store.size() floats.
 void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds);
-
-/// Multi-bit analogue of EstimateAll: every code estimated from its full
-/// B_d-bit planes, no pruning (+inf threshold, all-lanes candidate mask).
-/// Bit-identical per code to EstimateDistanceMulti. Both output buffers
-/// must be non-null (the block kernel always assembles the bound) and hold
-/// store.size() floats. Requires store.bits_per_dim() > 1.
-void EstimateAllMulti(const QuantizedQuery& query,
-                      const RabitqCodeStore& store, float epsilon0,
-                      float* dist_sq, float* lower_bounds);
 
 }  // namespace rabitq
 

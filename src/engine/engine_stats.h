@@ -51,8 +51,10 @@ struct EngineStatsSnapshot {
   std::uint64_t candidates_reranked = 0;
   std::uint64_t lists_probed = 0;
   std::uint64_t codes_filtered = 0;  // excluded by per-query IdFilters
-  /// Stage-2 multi-bit refinements (bits_per_dim > 1 under kErrorBound);
-  /// 0 on a 1-bit index.
+  /// Stage-2 multi-bit refinements (bits_per_dim > 1): live,
+  /// filter-allowed codes re-estimated from the full B_d-bit code -- the
+  /// 1-bit survivors under kErrorBound, every such code under
+  /// kFixedCandidates/kNone. 0 on a 1-bit index.
   std::uint64_t codes_refined = 0;
 
   /// Seconds since construction or the last Reset() -- the rate window the

@@ -319,8 +319,7 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
   // common case) never read the clock or touch `deadline_check`, so their
   // scan is instruction-for-instruction the pre-deadline scan -- the
   // bit-identical contract survives the plumbing. Armed queries pay one
-  // clock read per probed list plus one per kDeadlineCheckBlocks fast-scan
-  // blocks (per 256 entries on the un-fused paths).
+  // clock read per probed list plus one per kDeadlineCheckBlocks blocks.
   const bool has_deadline = params.deadline != SearchOptions::kNoDeadline;
   const auto deadline = params.deadline;
   bool deadline_hit = false;
@@ -336,11 +335,11 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
   std::vector<float>& est_buf = scratch->est_buf;
   std::vector<float>& lb_buf = scratch->lb_buf;
   QuantizedQuery& qq = scratch->query;
-  const bool need_bounds = params.policy == RerankPolicy::kErrorBound;
-  // Per-query predicate, pushed INTO candidate selection: the fused path
-  // folds it into the kernel's survivors mask, the fallback loops check it
-  // exactly where they check tombstones. Either way a filtered-out code
-  // never reaches exact re-ranking and no post-hoc pass exists.
+  const bool rerank = params.policy == RerankPolicy::kErrorBound;
+  // Per-query predicate, pushed INTO candidate selection: the block loop
+  // folds it into the kernel's survivors mask next to the tombstones, so a
+  // filtered-out code never reaches exact re-ranking or the estimate pool
+  // and no post-hoc pass exists.
   const IdFilter& filter = params.filter;
   const bool filtering = filter.active();
 
@@ -356,15 +355,16 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
       kFastScanBlockSize;
   est_buf.resize(padded);
   lb_buf.resize(padded);
-  // Stage-2 scan of a multi-bit index: the two-stage refine needs the
-  // multi-bit lower bounds in their own buffer (stage 2 overwrites est_buf
-  // at candidate lanes, but the walk re-checks BOTH stages' bounds). The
-  // estimate-only policies need it too, as the batch kernel's mandatory
-  // bound output (the bounds themselves go unread there).
-  const bool multi_code = encoder_.config().bits_per_dim > 1;
-  const bool multi = need_bounds && multi_code;
+  // A multi-bit index refines through a second stage under every policy:
+  // kErrorBound re-estimates the stage-1 survivors and prunes again; the
+  // estimate-only policies rank by the code's full width (the extra planes
+  // exist precisely so the estimate can stand in for the exact distance),
+  // so every live allowed lane is refined. The stage-2 bounds get their own
+  // buffer: stage 2 overwrites est_buf at candidate lanes, but the walk
+  // re-checks BOTH stages' bounds.
+  const bool multi = encoder_.config().bits_per_dim > 1;
   std::vector<float>& mlb_buf = scratch->mlb_buf;
-  if (multi_code) mlb_buf.resize(padded);
+  if (multi) mlb_buf.resize(padded);
 
   // Scan span = (list loop + result extraction) minus the re-rank time
   // accumulated inside; the two stages tile the post-preprocess pipeline.
@@ -399,184 +399,115 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
         encoder_, rotated_query, rotated_centroids_.Row(list_id), q_dist,
         &list_rng, &qq, /*query_bits_override=*/0, metric_, query_norm_sq));
     const std::size_t n = list.ids.size();
-    const bool batch = params.use_batch_estimator && qq.has_exact_luts &&
-                       list.codes.finalized();
+    // Where a block's sums come from: the fast-scan LUT kernel when the
+    // query's u8 LUTs are lossless (B_q <= 6) and the list's packed layout
+    // is current, B_q bitwise passes per lane otherwise. Both give the same
+    // integer <x_b, q-bar_u>, so everything below is shared.
+    const bool fast_scan = params.use_batch_estimator && qq.has_exact_luts &&
+                           list.codes.finalized();
     local_stats.codes_estimated += n;
 
-    // Candidate selection consults the tombstones: a dead entry (deleted id
-    // or stale pre-Update code) is estimated by the batch kernel -- blocks
-    // are contiguous -- but never reaches the heap or the pool.
-    if (params.policy == RerankPolicy::kErrorBound && batch) {
-      // Fused scan + selection (paper Section 4 made branch-free): per
-      // block, accumulate the fast-scan sums, assemble estimates + lower
-      // bounds 8 lanes at a time, and prune in-kernel against the current
-      // k-th best exact distance (FLT_MAX while the heap is filling) with
-      // the tombstone flags folded into the same survivors mask. Only
-      // surviving lanes are walked; each is re-checked against the LIVE
-      // threshold (it tightens within a block as candidates are pushed), so
-      // the re-ranked set is element-for-element identical to the
-      // un-fused per-entry loop.
-      const FastScanCodes& packed = list.codes.packed();
-      const std::uint8_t* dead_base =
-          list.num_dead > 0 ? list.dead.data() : nullptr;
-      std::uint32_t sums[kFastScanBlockSize];
-      for (std::size_t block = 0; block < packed.num_blocks; ++block) {
-        if (has_deadline &&
-            ++deadline_check % kDeadlineCheckBlocks == 0 &&
-            std::chrono::steady_clock::now() >= deadline) {
-          deadline_hit = true;
-          break;
-        }
-        const std::size_t begin = block * kFastScanBlockSize;
-        const std::size_t count = std::min(kFastScanBlockSize, n - begin);
-        PrefetchBlockData(list.codes, block + 1);
-        // The filter's allow mask rides into the kernel as lane_mask; a
-        // fully-disallowed block skips even the fast-scan accumulation.
-        std::uint32_t allow_mask = 0xFFFFFFFFu;
-        if (filtering) {
-          allow_mask = FilterBlockMask(
-              filter, list.ids.data() + begin, count,
-              dead_base == nullptr ? nullptr : dead_base + begin,
-              &local_stats.codes_filtered);
-          if (allow_mask == 0) continue;
-        }
-        FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
-                                qq.luts.data(), sums);
-        // +infinity (not FLT_MAX) while the heap is filling: nothing
-        // compares greater than inf, so even a lower bound that overflowed
-        // to +inf survives the kernel -- exactly like the un-fused loop,
-        // whose `full() &&` short-circuit never prunes while filling.
-        const float threshold = exact_heap.full()
-                                    ? exact_heap.Threshold()
-                                    : std::numeric_limits<float>::infinity();
-        std::uint32_t survivors = EstimateBlockFusedPruned(
-            qq, list.codes, block, sums, epsilon0, threshold,
-            dead_base == nullptr ? nullptr : dead_base + begin,
-            est_buf.data() + begin, lb_buf.data() + begin, allow_mask);
-        // Two-stage scan for multi-bit codes: the block above pruned with
-        // the cheap sign plane; its survivors are re-estimated from the
-        // full B_d-bit code (reusing the sign-plane sums) and pruned again
-        // against the same snapshot threshold. est_buf now holds the
-        // tighter stage-2 estimates at candidate lanes; mlb_buf their
-        // bounds, with lb_buf keeping the stage-1 bounds for the walk's
-        // live re-check of both stages.
-        if (multi && survivors != 0) {
-          local_stats.codes_refined +=
-              static_cast<std::size_t>(std::popcount(survivors));
-          std::uint32_t msums[kFastScanBlockSize];
-          AccumulateMultiBlockSums(qq, list.codes, block, sums, msums);
-          survivors = EstimateBlockMultiPruned(
-              qq, list.codes, block, msums, epsilon0, threshold, survivors,
-              est_buf.data() + begin, mlb_buf.data() + begin);
-        }
-        const bool time_rerank = trace != nullptr && survivors != 0;
-        if (time_rerank) span_start = TraceClock::now();
-        while (survivors != 0) {
-          const unsigned lane = std::countr_zero(survivors);
-          survivors &= survivors - 1;
-          const std::size_t i = begin + lane;
-          if (exact_heap.full() && lb_buf[i] > exact_heap.Threshold()) {
-            continue;
-          }
-          if (multi && exact_heap.full() &&
-              mlb_buf[i] > exact_heap.Threshold()) {
-            continue;
-          }
-          const std::uint32_t id = list.ids[i];
-          const float exact = MetricDistance(metric_, data_.Row(id), query, dim());
-          exact_heap.Push(exact, id);
-          ++local_stats.candidates_reranked;
-          AccumulateRerankHealth(est_buf[i], multi ? mlb_buf[i] : lb_buf[i],
-                                 exact, &local_stats);
-        }
-        if (time_rerank) rerank_ns += NanosSince(span_start);
-      }
-      if (deadline_hit) break;
-      continue;
-    }
-
-    // Estimate-only policies on a multi-bit index rank by the code's full
-    // width: the extra planes exist precisely so the estimate can stand in
-    // for the exact distance (kNone) or pick the rerank set (kFixed-
-    // Candidates), so the pool gets B_d-bit estimates, not the sign
-    // plane's. kErrorBound keeps its two-stage shape: sign-plane estimates
-    // here, per-survivor refinement below.
-    const bool refine_all =
-        multi_code && params.policy != RerankPolicy::kErrorBound;
-    if (batch) {
-      if (refine_all) {
-        EstimateAllMulti(qq, list.codes, epsilon0, est_buf.data(),
-                         mlb_buf.data());
-      } else {
-        EstimateAll(qq, list.codes, epsilon0, est_buf.data(),
-                    need_bounds ? lb_buf.data() : nullptr);
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const DistanceEstimate est =
-            refine_all ? EstimateDistanceMulti(qq, list.codes, i, epsilon0)
-                       : EstimateDistance(qq, list.codes.View(i), epsilon0);
-        est_buf[i] = est.dist_sq;
-        // Match the batch path's need_bounds gating: policies that never
-        // read lower bounds do not pay the stores.
-        if (need_bounds) lb_buf[i] = est.lower_bound_sq;
-      }
-    }
-    if (refine_all) local_stats.codes_refined += n;
-
-    switch (params.policy) {
-      case RerankPolicy::kErrorBound:
-        // Paper Section 4: drop a vector iff its distance lower bound
-        // exceeds the current k-th best exact distance; otherwise compute
-        // the exact distance right away so the threshold tightens as we go.
-        // The filter check sits with the tombstone check (before the bound
-        // test) so codes_filtered counts every live excluded code, exactly
-        // like the fused path's per-block mask.
-        if (trace != nullptr) span_start = TraceClock::now();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (has_deadline && (++deadline_check & 255u) == 0 &&
-              std::chrono::steady_clock::now() >= deadline) {
-            deadline_hit = true;
-            break;
-          }
-          if (list.dead[i]) continue;
-          if (filtering && !filter.Allows(list.ids[i])) {
-            ++local_stats.codes_filtered;
-            continue;
-          }
-          if (exact_heap.full() && lb_buf[i] > exact_heap.Threshold()) continue;
-          float est = est_buf[i];
-          float lb = lb_buf[i];
-          // Stage 2 of the multi-bit scan, per entry: refine the stage-1
-          // survivor from the full B_d-bit code and give the tighter bound
-          // its own chance to prune before the exact distance is paid.
-          if (multi) {
-            const DistanceEstimate refined =
-                EstimateDistanceMulti(qq, list.codes, i, epsilon0);
-            ++local_stats.codes_refined;
-            est = refined.dist_sq;
-            lb = refined.lower_bound_sq;
-            if (exact_heap.full() && lb > exact_heap.Threshold()) continue;
-          }
-          const std::uint32_t id = list.ids[i];
-          const float exact = MetricDistance(metric_, data_.Row(id), query, dim());
-          exact_heap.Push(exact, id);
-          ++local_stats.candidates_reranked;
-          AccumulateRerankHealth(est, lb, exact, &local_stats);
-        }
-        if (trace != nullptr) rerank_ns += NanosSince(span_start);
+    // Scan + selection (paper Section 4 made branch-free): per block,
+    // assemble estimates + lower bounds 8 lanes at a time and fold the
+    // tombstones and the filter into the kernel's survivors mask. A dead
+    // entry (deleted id or stale pre-Update code) is estimated -- blocks
+    // are contiguous -- but never survives. Under kErrorBound the kernel
+    // also prunes against the current k-th best exact distance and the
+    // survivors are re-ranked; the estimate-only policies prune nothing
+    // (+inf) and pool every survivor's estimate.
+    const std::uint8_t* dead_base =
+        list.num_dead > 0 ? list.dead.data() : nullptr;
+    const std::size_t num_blocks =
+        (n + kFastScanBlockSize - 1) / kFastScanBlockSize;
+    std::uint32_t sums[kFastScanBlockSize];
+    for (std::size_t block = 0; block < num_blocks; ++block) {
+      if (has_deadline &&
+          ++deadline_check % kDeadlineCheckBlocks == 0 &&
+          std::chrono::steady_clock::now() >= deadline) {
+        deadline_hit = true;
         break;
-      case RerankPolicy::kFixedCandidates:
-      case RerankPolicy::kNone:
-        for (std::size_t i = 0; i < n; ++i) {
-          if (list.dead[i]) continue;
-          if (filtering && !filter.Allows(list.ids[i])) {
-            ++local_stats.codes_filtered;
-            continue;
+      }
+      const std::size_t begin = block * kFastScanBlockSize;
+      const std::size_t count = std::min(kFastScanBlockSize, n - begin);
+      PrefetchBlockData(list.codes, block + 1);
+      // The filter's allow mask rides into the kernel as lane_mask; a
+      // fully-disallowed block skips even the sum accumulation.
+      std::uint32_t allow_mask = 0xFFFFFFFFu;
+      if (filtering) {
+        allow_mask = FilterBlockMask(
+            filter, list.ids.data() + begin, count,
+            dead_base == nullptr ? nullptr : dead_base + begin,
+            &local_stats.codes_filtered);
+        if (allow_mask == 0) continue;
+      }
+      AccumulateBlockSums(qq, list.codes, block, fast_scan, sums);
+      // +infinity (not FLT_MAX) under the estimate-only policies and while
+      // the heap is filling: nothing compares greater than inf, so even a
+      // lower bound that overflowed to +inf survives the kernel, and the
+      // walk's `full() &&` re-check never prunes while filling either.
+      const float threshold = rerank && exact_heap.full()
+                                  ? exact_heap.Threshold()
+                                  : std::numeric_limits<float>::infinity();
+      std::uint32_t survivors = EstimateBlockFusedPruned(
+          qq, list.codes, block, sums, epsilon0, threshold,
+          dead_base == nullptr ? nullptr : dead_base + begin,
+          est_buf.data() + begin, rerank ? lb_buf.data() + begin : nullptr,
+          allow_mask);
+      // Stage 2 for multi-bit codes: the survivors are re-estimated from
+      // the full B_d-bit code and pruned again against the same snapshot
+      // threshold. est_buf now holds the tighter stage-2 estimates at
+      // candidate lanes; mlb_buf their bounds, with lb_buf keeping the
+      // stage-1 bounds for the walk's live re-check of both stages.
+      if (multi && survivors != 0) {
+        local_stats.codes_refined +=
+            static_cast<std::size_t>(std::popcount(survivors));
+        std::uint32_t msums[kFastScanBlockSize];
+        if (fast_scan) {
+          // Reuses the sign-plane sums; only the extra planes are scanned.
+          AccumulateMultiBlockSums(qq, list.codes, block, sums, msums);
+        } else {
+          std::fill_n(msums, kFastScanBlockSize, 0u);
+          for (std::uint32_t m = survivors; m != 0; m &= m - 1) {
+            const unsigned lane = std::countr_zero(m);
+            msums[lane] = BitwiseDotQueryMulti(qq, list.codes, begin + lane);
           }
+        }
+        survivors = EstimateBlockMultiPruned(
+            qq, list.codes, block, msums, epsilon0, threshold, survivors,
+            est_buf.data() + begin, mlb_buf.data() + begin);
+      }
+      if (!rerank) {
+        for (; survivors != 0; survivors &= survivors - 1) {
+          const std::size_t i = begin + std::countr_zero(survivors);
           estimate_pool.emplace_back(est_buf[i], list.ids[i]);
         }
-        break;
+        continue;
+      }
+      // Each survivor is re-checked against the LIVE threshold (it tightens
+      // within a block as candidates are pushed), so the re-ranked set is
+      // element-for-element what a per-entry loop would re-rank.
+      const bool time_rerank = trace != nullptr && survivors != 0;
+      if (time_rerank) span_start = TraceClock::now();
+      while (survivors != 0) {
+        const unsigned lane = std::countr_zero(survivors);
+        survivors &= survivors - 1;
+        const std::size_t i = begin + lane;
+        if (exact_heap.full() && lb_buf[i] > exact_heap.Threshold()) {
+          continue;
+        }
+        if (multi && exact_heap.full() &&
+            mlb_buf[i] > exact_heap.Threshold()) {
+          continue;
+        }
+        const std::uint32_t id = list.ids[i];
+        const float exact =
+            MetricDistance(metric_, data_.Row(id), query, dim());
+        exact_heap.Push(exact, id);
+        ++local_stats.candidates_reranked;
+        AccumulateRerankHealth(est_buf[i], multi ? mlb_buf[i] : lb_buf[i],
+                               exact, &local_stats);
+      }
+      if (time_rerank) rerank_ns += NanosSince(span_start);
     }
     if (deadline_hit) break;
   }

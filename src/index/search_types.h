@@ -154,8 +154,9 @@ struct SearchOptions {
   std::size_t rerank_candidates = 1000;
   /// Overrides the encoder's eps0 when >= 0 (Fig. 5 sweep).
   float epsilon0_override = -1.0f;
-  /// Use the packed fast-scan batch estimator (true) or the bitwise
-  /// single-code estimator (false).
+  /// Source of each scanned block's sums: the packed fast-scan LUT kernel
+  /// (true; used only when B_q <= 6, where the LUTs are lossless) or B_q
+  /// bitwise passes per code (false). Results are bit-identical either way.
   bool use_batch_estimator = true;
   /// Base seed of the randomized query quantization. Unset: the layer
   /// serving the request picks one (the engine derives it from its config
@@ -208,10 +209,12 @@ struct IvfSearchStats {
   /// Live candidate codes excluded by the request's IdFilter before
   /// re-ranking (tombstoned entries are not double-counted here).
   std::size_t codes_filtered = 0;
-  /// Stage-2 multi-bit refinements (indexes with bits_per_dim > 1 under
-  /// kErrorBound only): candidates that survived the 1-bit prune and were
-  /// re-estimated from the full B_d-bit code before exact re-ranking.
-  /// Always 0 for 1-bit indexes and for kFixedCandidates/kNone.
+  /// Stage-2 multi-bit refinements (indexes with bits_per_dim > 1): codes
+  /// re-estimated from the full B_d-bit code. Under kErrorBound, the live,
+  /// filter-allowed codes that survived the 1-bit prune; under
+  /// kFixedCandidates/kNone, every live, filter-allowed code scanned
+  /// (tombstoned entries are estimated but never refined). Always 0 for
+  /// 1-bit indexes.
   std::size_t codes_refined = 0;
 
   // Estimator-health telemetry, collected at kErrorBound re-rank where the

@@ -35,6 +35,7 @@
 #include "index/brute_force.h"
 #include "index/ivf.h"
 #include "index/sharded.h"
+#include "linalg/vector_ops.h"
 #include "quant/fastscan.h"
 #include "util/bit_ops.h"
 #include "util/prng.h"
@@ -329,6 +330,47 @@ TEST(MultibitTest, BlockKernelsBitIdenticalToScalarAndSingleCode) {
   }
 }
 
+// kNone reference over every list of `index`: each code's single-code
+// bitwise estimate (EstimateDistance / EstimateDistanceMulti) under the
+// per-list query the search prepares, the k smallest (estimate, id) pairs.
+std::vector<Neighbor> SingleCodeTopK(const IvfRabitqIndex& index,
+                                     const float* query, std::uint64_t seed,
+                                     std::size_t k) {
+  const RabitqEncoder& encoder = index.encoder();
+  const Metric metric = index.metric();
+  const float query_norm_sq =
+      metric == Metric::kL2 ? 0.0f : SquaredNorm(query, index.dim());
+  std::vector<float> rotated(encoder.total_bits());
+  RotateQueryOnce(encoder, query, rotated.data());
+  QuantizedQuery qq;
+  std::vector<Neighbor> pool;
+  for (std::size_t l = 0; l < index.num_lists(); ++l) {
+    const auto& ids = index.list_ids(l);
+    if (ids.empty()) continue;
+    Rng list_rng(MixSeed(seed, l));
+    const float q_dist = std::sqrt(std::max(
+        0.0f, L2SqrDistance(query, index.centroids().Row(l), index.dim())));
+    EXPECT_TRUE(PrepareQueryFromRotated(encoder, rotated.data(),
+                                        index.rotated_centroids().Row(l),
+                                        q_dist, &list_rng, &qq,
+                                        /*query_bits_override=*/0, metric,
+                                        query_norm_sq)
+                    .ok());
+    const RabitqCodeStore& codes = index.list_codes(l);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const DistanceEstimate est =
+          codes.bits_per_dim() > 1
+              ? EstimateDistanceMulti(qq, codes, i, 0.0f)
+              : EstimateDistance(qq, codes.View(i), 0.0f);
+      pool.emplace_back(est.dist_sq, ids[i]);
+    }
+  }
+  k = std::min(k, pool.size());
+  std::partial_sort(pool.begin(), pool.begin() + k, pool.end());
+  pool.resize(k);
+  return pool;
+}
+
 class MultibitSearchTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kN = 900;
@@ -342,13 +384,15 @@ class MultibitSearchTest : public ::testing::Test {
     queries_ = ClusteredData(kNumQueries, kDim, 10, 422);
   }
 
-  IvfRabitqIndex BuildSingle(Metric metric, std::size_t bits) const {
+  IvfRabitqIndex BuildSingle(Metric metric, std::size_t bits,
+                             int query_bits = RabitqConfig{}.query_bits) const {
     IvfRabitqIndex index;
     IvfConfig ivf;
     ivf.num_lists = kLists;
     ivf.metric = metric;
     RabitqConfig rabitq;
     rabitq.bits_per_dim = bits;
+    rabitq.query_bits = query_bits;
     EXPECT_TRUE(index.Build(data_, ivf, rabitq).ok());
     return index;
   }
@@ -371,34 +415,47 @@ class MultibitSearchTest : public ::testing::Test {
 // The tentpole acceptance criterion: the two-stage kErrorBound scan is
 // element-identical to the brute-force oracle at every width, under kL2 and
 // kInnerProduct, on both estimator paths -- and the codes_refined telemetry
-// fires exactly when a second stage exists.
+// fires exactly when a second stage exists. B_q 7 and 8 have no lossless
+// LUTs, so there every block's sums come from the bitwise passes whatever
+// use_batch_estimator says. Under kNone the search returns each code's
+// single-code bitwise estimate exactly, fast-scan sums or not.
 TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
-  for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
-    for (const std::size_t bits :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      const IvfRabitqIndex index = BuildSingle(metric, bits);
-      ASSERT_EQ(index.encoder().config().bits_per_dim, bits);
-      for (std::size_t q = 0; q < kNumQueries; ++q) {
-        const std::vector<Neighbor> oracle =
-            OracleAllowed(data_, queries_.Row(q), kK, metric, {});
-        for (const bool batch : {true, false}) {
-          SearchOptions params = ExhaustiveParams();
-          params.use_batch_estimator = batch;
-          params.seed = 600 + q;
-          const SearchResponse response =
-              index.Search({queries_.Row(q), params});
-          ASSERT_TRUE(response.ok());
-          const std::vector<Neighbor>& got = response.neighbors;
-          const IvfSearchStats& stats = response.stats;
-          const std::string label = std::string(MetricName(metric)) + " B" +
-                                    std::to_string(bits) +
-                                    (batch ? " batch" : " scalar") + " q" +
-                                    std::to_string(q);
-          ExpectSameNeighbors(oracle, got, label);
-          if (bits > 1) {
-            EXPECT_GT(stats.codes_refined, 0u) << label;
-          } else {
-            EXPECT_EQ(stats.codes_refined, 0u) << label;
+  for (const int query_bits : {4, 7, 8}) {
+    for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+      for (const std::size_t bits :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        if (query_bits > 6 && bits != 1 && bits != 4) continue;
+        const IvfRabitqIndex index = BuildSingle(metric, bits, query_bits);
+        ASSERT_EQ(index.encoder().config().bits_per_dim, bits);
+        for (std::size_t q = 0; q < kNumQueries; ++q) {
+          const std::vector<Neighbor> oracle =
+              OracleAllowed(data_, queries_.Row(q), kK, metric, {});
+          const std::vector<Neighbor> estimates =
+              SingleCodeTopK(index, queries_.Row(q), 600 + q, kK);
+          for (const bool batch : {true, false}) {
+            SearchOptions params = ExhaustiveParams();
+            params.use_batch_estimator = batch;
+            params.seed = 600 + q;
+            const SearchResponse response =
+                index.Search({queries_.Row(q), params});
+            ASSERT_TRUE(response.ok());
+            const std::vector<Neighbor>& got = response.neighbors;
+            const IvfSearchStats& stats = response.stats;
+            const std::string label = std::string(MetricName(metric)) + " B" +
+                                      std::to_string(bits) + " Bq" +
+                                      std::to_string(query_bits) +
+                                      (batch ? " batch" : " scalar") + " q" +
+                                      std::to_string(q);
+            ExpectSameNeighbors(oracle, got, label);
+            if (bits > 1) {
+              EXPECT_GT(stats.codes_refined, 0u) << label;
+            } else {
+              EXPECT_EQ(stats.codes_refined, 0u) << label;
+            }
+            params.policy = RerankPolicy::kNone;
+            const SearchResponse none = index.Search({queries_.Row(q), params});
+            ASSERT_TRUE(none.ok());
+            ExpectSameNeighbors(estimates, none.neighbors, label + " kNone");
           }
         }
       }
@@ -412,48 +469,70 @@ TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
 // estimate-only policies rank by the full-width estimate on both paths.
 TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
   for (const std::size_t bits : kWidths) {
-    const IvfRabitqIndex index = BuildSingle(Metric::kL2, bits);
-    SearchOptions batch;
-    batch.k = kK;
-    batch.nprobe = 4;
-    batch.policy = RerankPolicy::kErrorBound;
-    SearchOptions scalar = batch;
-    scalar.use_batch_estimator = false;
-    for (std::size_t q = 0; q < kNumQueries; ++q) {
-      batch.seed = 700 + q;
-      scalar.seed = 700 + q;
-      const SearchResponse batch_out = index.Search({queries_.Row(q), batch});
-      const SearchResponse scalar_out =
-          index.Search({queries_.Row(q), scalar});
-      ASSERT_TRUE(batch_out.ok());
-      ASSERT_TRUE(scalar_out.ok());
-      ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
-                          "partial-probe B" + std::to_string(bits));
-    }
-    // kFixedCandidates / kNone rank their pools by the full B_d-bit
-    // estimate (every scanned code is refined -- the estimate must stand
-    // in for the exact distance there), and batch / non-batch still agree.
-    for (const RerankPolicy policy :
-         {RerankPolicy::kFixedCandidates, RerankPolicy::kNone}) {
-      SearchOptions params = batch;
-      params.policy = policy;
-      params.rerank_candidates = 40;
-      SearchOptions params_scalar = params;
-      params_scalar.use_batch_estimator = false;
+  // The tombstoned input deletes every 9th id without compacting, so the
+  // probed lists carry dead entries: estimated, but never refined.
+  for (const bool tombstoned : {false, true}) {
+      IvfRabitqIndex index = BuildSingle(Metric::kL2, bits);
+      if (tombstoned) {
+        for (std::uint32_t id = 0; id < kN; id += 9) {
+          ASSERT_TRUE(index.Delete(id).ok());
+        }
+      }
+      SearchOptions batch;
+      batch.k = kK;
+      batch.nprobe = 4;
+      batch.policy = RerankPolicy::kErrorBound;
+      SearchOptions scalar = batch;
+      scalar.use_batch_estimator = false;
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        params.seed = 711 + q;
-        params_scalar.seed = 711 + q;
-        const SearchResponse batch_out =
-            index.Search({queries_.Row(q), params});
+        batch.seed = 700 + q;
+        scalar.seed = 700 + q;
+        const SearchResponse batch_out = index.Search({queries_.Row(q), batch});
         const SearchResponse scalar_out =
-            index.Search({queries_.Row(q), params_scalar});
+            index.Search({queries_.Row(q), scalar});
         ASSERT_TRUE(batch_out.ok());
         ASSERT_TRUE(scalar_out.ok());
         ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
-                            "pool policy B" + std::to_string(bits));
-        EXPECT_EQ(batch_out.stats.codes_refined,
-                  batch_out.stats.codes_estimated);
+                            "partial-probe B" + std::to_string(bits));
       }
+      // kFixedCandidates / kNone rank their pools by the full B_d-bit
+      // estimate (every live scanned code is refined -- the estimate must
+      // stand in for the exact distance there), and batch / non-batch still
+      // agree. codes_refined counts the live lanes: tombstones are estimated
+      // (codes_estimated) but not refined.
+      std::size_t total_dead = 0;
+      for (const RerankPolicy policy :
+           {RerankPolicy::kFixedCandidates, RerankPolicy::kNone}) {
+        SearchOptions params = batch;
+        params.policy = policy;
+        params.rerank_candidates = 40;
+        SearchOptions params_scalar = params;
+        params_scalar.use_batch_estimator = false;
+        for (std::size_t q = 0; q < kNumQueries; ++q) {
+          params.seed = 711 + q;
+          params_scalar.seed = 711 + q;
+          const SearchResponse batch_out =
+              index.Search({queries_.Row(q), params});
+          const SearchResponse scalar_out =
+              index.Search({queries_.Row(q), params_scalar});
+          ASSERT_TRUE(batch_out.ok());
+          ASSERT_TRUE(scalar_out.ok());
+          ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
+                              "pool policy B" + std::to_string(bits));
+          const std::vector<std::uint32_t> order =
+              index.ProbeOrder(queries_.Row(q));
+          std::size_t dead = 0;
+          for (std::size_t p = 0; p < params.nprobe; ++p) {
+            dead += index.list_tombstones(order[p]);
+          }
+          total_dead += dead;
+          EXPECT_EQ(batch_out.stats.codes_refined,
+                    batch_out.stats.codes_estimated - dead);
+          EXPECT_EQ(scalar_out.stats.codes_refined,
+                    batch_out.stats.codes_refined);
+        }
+      }
+      EXPECT_EQ(total_dead > 0, tombstoned);
     }
   }
 }
