@@ -27,9 +27,9 @@ struct EngineStatsSnapshot {
   std::uint64_t compactions = 0;  // lists compacted, not passes
   std::uint64_t search_errors = 0;
   // Overload / degraded-outcome tallies (the robustness layer): rejected at
-  // admission (queue at max_queue_depth), shed unexecuted (deadline expired
-  // while queued), out of time mid-scan, responses flagged partial, and
-  // per-shard hard failures the scatter-gather merge isolated.
+  // admission (the submission would pass max_queue_depth), shed unexecuted
+  // (deadline expired while queued), out of time mid-scan, responses flagged
+  // partial, and per-shard hard failures the scatter-gather merge isolated.
   std::uint64_t queries_rejected = 0;
   std::uint64_t queries_shed = 0;
   std::uint64_t deadline_exceeded = 0;
@@ -43,8 +43,8 @@ struct EngineStatsSnapshot {
   double uptime_seconds = 0.0;     // since collector construction
   double qps = 0.0;                // queries / window_seconds
   double mean_batch_size = 0.0;
-  double latency_p50_us = 0.0;     // per-query latency quantiles; for async
-  double latency_p99_us = 0.0;     // queries this includes queueing time
+  double latency_p50_us = 0.0;     // per-query latency quantiles, submit
+  double latency_p99_us = 0.0;     // to completion (queueing included)
   double latency_max_us = 0.0;
   // Aggregated IvfSearchStats over every served query.
   std::uint64_t codes_estimated = 0;
@@ -115,8 +115,8 @@ class EngineStatsCollector {
   void RecordUpdate() { updates_->Increment(); }
   /// One list compacted (a background pass may record several).
   void RecordCompaction() { compactions_->Increment(); }
-  /// One submission rejected at admission (queue at max_queue_depth).
-  void RecordRejected() { rejected_->Increment(); }
+  /// A submission of `n` queries refused at admission (max_queue_depth).
+  void RecordRejected(std::uint64_t n) { rejected_->Add(n); }
   /// One queued query shed unexecuted (deadline expired while queued).
   void RecordShed() { shed_->Increment(); }
   /// One query that ran out of deadline mid-scan (partial results).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "linalg/vector_ops.h"
@@ -90,22 +91,18 @@ std::uint64_t SearchEngine::QuerySeed(std::uint64_t base,
   return MixSeed(base, ticket);
 }
 
-void SearchEngine::ExecuteBatch(
-    const float* const* queries, std::size_t n,
-    const SearchOptions* const* options, const std::uint64_t* seeds,
-    const std::chrono::steady_clock::time_point* submit_times,
-    SearchResponse* const* responses) {
+void SearchEngine::ExecuteBatch(std::vector<QueuedQuery>* batch) {
   using Clock = std::chrono::steady_clock;
-  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   const Clock::time_point start = Clock::now();
+  std::vector<QueuedQuery>& queued = *batch;
+  const std::size_t n = queued.size();
   const std::size_t S = index_.num_shards();
   if (S == 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      responses[i]->status =
-          Status::FailedPrecondition("engine index not built");
-    }
+    const Status unbuilt = Status::FailedPrecondition("engine index not built");
+    for (QueuedQuery& q : queued) q.promise.set_value({unbuilt, {}, {}});
     return;
   }
+  std::vector<SearchResponse> responses(n);
 
   // Deterministic trace sampling, decided before any work: a pure function
   // of each query's resolved seed, so the traced subset does not depend on
@@ -119,7 +116,7 @@ void SearchEngine::ExecuteBatch(
       trace_capacity_ = n;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      if (obs::SampleTrace(seeds[i], config_.trace_sample_period)) {
+      if (obs::SampleTrace(queued[i].seed, config_.trace_sample_period)) {
         trace_storage_[i].Clear();
         batch_traces_[i] = &trace_storage_[i];
         any_traced = true;
@@ -143,7 +140,7 @@ void SearchEngine::ExecuteBatch(
   const std::size_t d = index_.dim();
   gather_buf_.Reset(n, d);
   for (std::size_t i = 0; i < n; ++i) {
-    std::copy_n(queries[i], d, gather_buf_.Row(i));
+    std::copy_n(queued[i].query.data(), d, gather_buf_.Row(i));
   }
   // Cosine normalizes where it rotates (the index contract for pre-rotated
   // queries). A zero-norm query fails per-query, not per-batch: its gather
@@ -204,16 +201,16 @@ void SearchEngine::ExecuteBatch(
         // is the query the shards see -- exact re-ranks and the merge must
         // score against the SAME vector the estimates were prepared from.
         cell_status_[cell] = index_.SearchShard(
-            s, gather_buf_.Row(q), rotated_buf_.Row(q), *options[q], seeds[q],
-            &scratch, &cell_results_[cell], &cell_stats_[cell]);
+            s, gather_buf_.Row(q), rotated_buf_.Row(q), queued[q].options,
+            queued[q].seed, &scratch, &cell_results_[cell], &cell_stats_[cell]);
       }
       scratch.trace = nullptr;
     }));
   }
   // Drain EVERY chunk before surfacing a failure: packaged_task futures do
   // not block on destruction, so rethrowing from the first get() would
-  // unwind (freeing the cell buffers and releasing batch_mutex_) while the
-  // remaining workers still write through those pointers.
+  // unwind (releasing the shard locks, letting the next batch reuse the
+  // cell buffers) while the remaining workers still write through them.
   std::exception_ptr first_error;
   for (auto& f : futures) {
     try {
@@ -238,7 +235,7 @@ void SearchEngine::ExecuteBatch(
         // under cosine) never ran any cell; everything else merges with the
         // per-shard statuses so a failed or out-of-time shard degrades the
         // query instead of failing it (see ShardedIndex::MergeShardResults).
-        SearchResponse& response = *responses[q];
+        SearchResponse& response = responses[q];
         if (!query_status[q].ok()) {
           response.status = query_status[q];
           continue;
@@ -246,7 +243,7 @@ void SearchEngine::ExecuteBatch(
         obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
         ShardMergeInfo info;
         response.status = index_.MergeShardResults(
-            gather_buf_.Row(q), *options[q], &cell_results_[q * S],
+            gather_buf_.Row(q), queued[q].options, &cell_results_[q * S],
             &cell_stats_[q * S], &worker_scratch_[c], &response.neighbors,
             &response.stats, &cell_status_[q * S], &info);
         response.partial = info.partial;
@@ -266,18 +263,14 @@ void SearchEngine::ExecuteBatch(
   for (auto& lock : read_locks) lock.unlock();
 
   const Clock::time_point end = Clock::now();
-  const double batch_us =
-      std::chrono::duration<double, std::micro>(end - start).count();
   std::vector<double> latencies(n);
   std::size_t errors = 0;
   IvfSearchStats batch_stats;
   for (std::size_t i = 0; i < n; ++i) {
-    const SearchResponse& response = *responses[i];
+    const SearchResponse& response = responses[i];
     latencies[i] =
-        submit_times != nullptr
-            ? std::chrono::duration<double, std::micro>(end - submit_times[i])
-                  .count()
-            : batch_us;
+        std::chrono::duration<double, std::micro>(end - queued[i].submit_time)
+            .count();
     if (!response.status.ok()) ++errors;
     if (response.status.code() == StatusCode::kDeadlineExceeded) {
       stats_.RecordDeadlineExceeded();
@@ -291,21 +284,18 @@ void SearchEngine::ExecuteBatch(
   stats_.RecordBatch(n, latencies.data(), batch_stats, errors);
 
   // Fold the sampled traces into the per-stage histograms and hand them to
-  // the optional sink. Queue wait (submit -> batch start) only exists on
-  // the async path; the sync path records no kQueueWait samples.
+  // the optional sink (queue wait: submit -> batch start).
   if (any_traced) {
     for (std::size_t i = 0; i < n; ++i) {
       obs::QueryTrace* const trace = batch_traces_[i];
       if (trace == nullptr) continue;
-      if (submit_times != nullptr) {
-        const std::int64_t wait_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                start - submit_times[i])
-                .count();
-        if (wait_ns > 0) {
-          trace->AddNanos(obs::Stage::kQueueWait,
-                          static_cast<std::uint64_t>(wait_ns));
-        }
+      const std::int64_t wait_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              start - queued[i].submit_time)
+              .count();
+      if (wait_ns > 0) {
+        trace->AddNanos(obs::Stage::kQueueWait,
+                        static_cast<std::uint64_t>(wait_ns));
       }
       for (int s = 0; s < obs::kNumStages; ++s) {
         const std::uint64_t ns = trace->Nanos(static_cast<obs::Stage>(s));
@@ -314,9 +304,53 @@ void SearchEngine::ExecuteBatch(
         }
       }
       traced_queries_->Increment();
-      if (config_.trace_sink) config_.trace_sink(seeds[i], *trace);
+      if (config_.trace_sink) config_.trace_sink(queued[i].seed, *trace);
     }
   }
+
+  // Promises last: a caller that wakes on its future already sees this
+  // batch in the stats and its trace delivered to the sink.
+  for (std::size_t i = 0; i < n; ++i) {
+    queued[i].promise.set_value(std::move(responses[i]));
+  }
+}
+
+namespace {
+
+// A request as the scheduler sees it: the vector copied, the relative
+// timeout resolved against the admission timestamp `now` (so queue time
+// counts against the budget -- that is the point of shedding).
+QueuedQuery MakeQueued(const SearchRequest& request, std::size_t dim,
+                       std::uint64_t seed,
+                       std::chrono::steady_clock::time_point now) {
+  QueuedQuery queued;
+  queued.query.assign(request.query, request.query + dim);
+  queued.options = request.options;
+  queued.options.ResolveDeadline(now);
+  queued.seed = seed;
+  queued.submit_time = now;
+  return queued;
+}
+
+}  // namespace
+
+Status SearchEngine::Admit(QueuedQuery* group, std::size_t n) {
+  bool injected_full = false;
+  RABITQ_FAILPOINT("engine.queue_push", injected_full = true);
+  const RequestQueue::PushResult pushed =
+      injected_full ? RequestQueue::PushResult::kFull : queue_.Push(group, n);
+  if (pushed == RequestQueue::PushResult::kAccepted) return Status::Ok();
+  Status refusal = Status::FailedPrecondition("engine is shutting down");
+  if (pushed == RequestQueue::PushResult::kFull) {
+    // Fail fast instead of queueing work the engine is too far behind to
+    // serve in time.
+    stats_.RecordRejected(n);
+    refusal = Status::ResourceExhausted("request queue is full");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    group[i].promise.set_value({refusal, {}, {}});
+  }
+  return refusal;
 }
 
 Status SearchEngine::SearchBatch(const SearchRequest* requests,
@@ -331,49 +365,31 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
     return Status::InvalidArgument("null requests");
   }
   // Per-response error contract: a null-query request fails through its own
-  // response.status while the valid requests still execute (compacted into
-  // a dense sub-batch, then scattered back).
-  std::vector<std::size_t> live;
-  live.reserve(num_requests);
+  // response.status; the valid requests are admitted as ONE submission, and
+  // their relative timeouts resolve against one admission timestamp.
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<QueuedQuery> group;
+  group.reserve(num_requests);
+  std::vector<std::future<SearchResponse>> futures(num_requests);
   for (std::size_t i = 0; i < num_requests; ++i) {
-    if (requests[i].query == nullptr) {
+    const SearchRequest& request = requests[i];
+    if (request.query == nullptr) {
       (*responses)[i].status = Status::InvalidArgument("null query in request");
-    } else {
-      live.push_back(i);
+      continue;
     }
+    // Auto-seed by BATCH POSITION, so a derived seed is independent of its
+    // neighbors' validity.
+    group.push_back(MakeQueued(
+        request, dim(),
+        request.options.seed.value_or(QuerySeed(config_.seed, i)), now));
+    futures[i] = group.back().promise.get_future();
   }
-  const std::size_t n = live.size();
-  if (n > 0) {
-    std::vector<const float*> query_ptrs(n);
-    std::vector<SearchOptions> owned_options(n);
-    std::vector<const SearchOptions*> option_ptrs(n);
-    std::vector<std::uint64_t> seeds(n);
-    std::vector<SearchResponse*> response_ptrs(n);
-    // Relative timeouts resolve against ONE admission timestamp for the
-    // whole batch -- read lazily, so deadline-free batches never touch the
-    // clock here (part of the bit-determinism contract).
-    std::chrono::steady_clock::time_point now{};
-    bool now_read = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      const SearchRequest& request = requests[live[j]];
-      query_ptrs[j] = request.query;
-      owned_options[j] = request.options;
-      if (owned_options[j].timeout_us != 0 && !now_read) {
-        now = std::chrono::steady_clock::now();
-        now_read = true;
-      }
-      owned_options[j].ResolveDeadline(now);
-      option_ptrs[j] = &owned_options[j];
-      response_ptrs[j] = &(*responses)[live[j]];
-      // Auto-seed by the request's BATCH POSITION (not its compacted slot)
-      // so a request's derived seed is independent of its neighbors'
-      // validity.
-      seeds[j] =
-          request.options.seed.value_or(QuerySeed(config_.seed, live[j]));
-    }
-    ExecuteBatch(query_ptrs.data(), n, option_ptrs.data(), seeds.data(),
-                 /*submit_times=*/nullptr, response_ptrs.data());
+  const Status admitted =
+      group.empty() ? Status::Ok() : Admit(group.data(), group.size());
+  for (std::size_t i = 0; i < num_requests; ++i) {
+    if (futures[i].valid()) (*responses)[i] = futures[i].get();
   }
+  if (!admitted.ok()) return admitted;
   for (const SearchResponse& response : *responses) {
     if (!response.status.ok()) return response.status;
   }
@@ -381,69 +397,32 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
 }
 
 SearchResponse SearchEngine::Search(const SearchRequest& request) {
+  // Every outcome, refusals included, lands in the one response.
   std::vector<SearchResponse> responses;
-  const Status status = SearchBatch(&request, 1, &responses);
-  if (responses.empty()) {
-    SearchResponse response;
-    response.status =
-        status.ok() ? Status::Internal("batch of one produced no response")
-                    : status;
-    return response;
-  }
-  SearchResponse response = std::move(responses.front());
-  // A batch-level failure must not surface as an ok() response.
-  if (response.status.ok() && !status.ok()) response.status = status;
-  return response;
+  (void)SearchBatch(&request, 1, &responses);
+  return std::move(responses.front());
 }
 
 std::future<SearchResponse> SearchEngine::SubmitAsync(
     const SearchRequest& request) {
-  QueuedQuery queued;
-  std::future<SearchResponse> future = queued.promise.get_future();
   if (request.query == nullptr) {
-    queued.promise.set_value(
-        SearchResponse{Status::InvalidArgument("null query in request"),
-                       {},
-                       {}});
-    return future;
+    std::promise<SearchResponse> failed;
+    failed.set_value(
+        {Status::InvalidArgument("null query in request"), {}, {}});
+    return failed.get_future();
   }
-  queued.query.assign(request.query, request.query + dim());
-  queued.options = request.options;
   // Not value_or: its argument evaluates eagerly, and an explicitly-seeded
   // submission must NOT consume a ticket (the auto-seed stream of
   // interleaved unseeded submissions would shift otherwise).
-  queued.seed = request.options.seed.has_value()
-                    ? *request.options.seed
-                    : QuerySeed(config_.seed, next_ticket_.fetch_add(
-                                                  1, std::memory_order_relaxed));
-  queued.submit_time = std::chrono::steady_clock::now();
-  // A relative timeout becomes an absolute deadline at ADMISSION, so queue
-  // time counts against the budget (that is the point of shedding).
-  queued.options.ResolveDeadline(queued.submit_time);
-  bool injected_full = false;
-  RABITQ_FAILPOINT("engine.queue_push", injected_full = true);
-  const RequestQueue::PushResult pushed =
-      injected_full ? RequestQueue::PushResult::kFull
-                    : queue_.Push(std::move(queued));
-  switch (pushed) {
-    case RequestQueue::PushResult::kAccepted:
-      break;
-    case RequestQueue::PushResult::kFull: {
-      // Push refused without consuming `queued`; fail fast instead of
-      // queueing work the engine is too far behind to serve in time.
-      stats_.RecordRejected();
-      SearchResponse response;
-      response.status = Status::ResourceExhausted("request queue is full");
-      queued.promise.set_value(std::move(response));
-      break;
-    }
-    case RequestQueue::PushResult::kClosed: {
-      SearchResponse response;
-      response.status = Status::FailedPrecondition("engine is shutting down");
-      queued.promise.set_value(std::move(response));
-      break;
-    }
-  }
+  const std::uint64_t seed =
+      request.options.seed.has_value()
+          ? *request.options.seed
+          : QuerySeed(config_.seed,
+                      next_ticket_.fetch_add(1, std::memory_order_relaxed));
+  QueuedQuery queued =
+      MakeQueued(request, dim(), seed, std::chrono::steady_clock::now());
+  std::future<SearchResponse> future = queued.promise.get_future();
+  (void)Admit(&queued, 1);
   return future;
 }
 
@@ -645,12 +624,6 @@ Status SearchEngine::SaveSnapshot(const std::string& path) const {
 void SearchEngine::SchedulerLoop() {
   std::vector<QueuedQuery> batch;
   std::vector<QueuedQuery> shed;
-  std::vector<const float*> query_ptrs;
-  std::vector<const SearchOptions*> option_ptrs;
-  std::vector<std::uint64_t> seeds;
-  std::vector<std::chrono::steady_clock::time_point> submit_times;
-  std::vector<SearchResponse> responses;
-  std::vector<SearchResponse*> response_ptrs;
   while (queue_.PopBatch(config_.max_batch,
                          std::chrono::microseconds(config_.batch_linger_us),
                          &batch, &shed)) {
@@ -658,31 +631,19 @@ void SearchEngine::SchedulerLoop() {
     // they waited, so the kindest answer is an immediate one.
     for (QueuedQuery& dropped : shed) {
       stats_.RecordShed();
-      SearchResponse response;
-      response.status =
-          Status::DeadlineExceeded("deadline expired while queued");
+      SearchResponse response{
+          Status::DeadlineExceeded("deadline expired while queued"), {}, {}};
       response.partial = true;
       dropped.promise.set_value(std::move(response));
     }
-    const std::size_t n = batch.size();
-    if (n == 0) continue;  // everything popped this round was shed
-    query_ptrs.resize(n);
-    option_ptrs.resize(n);
-    seeds.resize(n);
-    submit_times.resize(n);
-    responses.assign(n, {});
-    response_ptrs.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      query_ptrs[i] = batch[i].query.data();
-      option_ptrs[i] = &batch[i].options;
-      seeds[i] = batch[i].seed;
-      submit_times[i] = batch[i].submit_time;
-      response_ptrs[i] = &responses[i];
-    }
-    ExecuteBatch(query_ptrs.data(), n, option_ptrs.data(), seeds.data(),
-                 submit_times.data(), response_ptrs.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      batch[i].promise.set_value(std::move(responses[i]));
+    if (batch.empty()) continue;  // everything popped this round was shed
+    try {
+      ExecuteBatch(&batch);
+    } catch (...) {
+      // No promise is resolved yet (ExecuteBatch resolves them last): every
+      // caller gets the exception from get(), and the scheduler lives on.
+      const std::exception_ptr error = std::current_exception();
+      for (QueuedQuery& queued : batch) queued.promise.set_exception(error);
     }
   }
 }

@@ -4,16 +4,17 @@
 // bench/examples.
 //
 // What it does:
-//   * Batched execution (SearchBatch): rotates a whole batch of queries with
-//     ONE matrix-matrix product (Rotator::InverseRotateBatch) instead of one
+//   * One admission path: every search enters the bounded request queue --
+//     a SubmitAsync as a submission of one, a SearchBatch call as one
+//     submission of n, admitted or refused whole -- and one scheduler thread
+//     gathers whole submissions into batches (up to max_batch; a lone query
+//     lingers batch_linger_us), amortizing per-batch costs across callers.
+//   * Batched execution: rotates a whole batch of queries with ONE
+//     matrix-matrix product (Rotator::InverseRotateBatch) instead of one
 //     gemv per query, then scatters the (query x shard) work cells across a
 //     private ThreadPool and gathers per-query global results with a merge
 //     pass. Each worker owns its scratch, so the hot path stops allocating
 //     once the buffers reach steady state.
-//   * Micro-batching (SubmitAsync): producers enqueue single queries and get
-//     futures; a scheduler thread gathers the queue into batches (up to
-//     max_batch, lingering batch_linger_us) and runs them through the same
-//     batched path, amortizing the per-batch costs across concurrent callers.
 //   * Read/write coordination, PER SHARD: every batch executes against a
 //     consistent snapshot (shared lock on every shard for the batch's
 //     duration); Insert/Delete/Update lock only the ONE shard their id
@@ -61,15 +62,16 @@ namespace rabitq {
 struct EngineConfig {
   /// Worker threads for batch execution; 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Async scheduler: largest batch gathered from the submission queue.
+  /// Scheduler: largest batch gathered from the queue. A submission is never
+  /// split, so a larger SearchBatch call still runs as one batch.
   std::size_t max_batch = 32;
-  /// Async scheduler: how long the first request of a batch may wait for
-  /// company, in microseconds. 0 disables lingering (greedy batches).
+  /// Scheduler: how long a lone query at the front of the queue may wait
+  /// for company, in microseconds. 0 disables lingering (greedy batches).
   std::size_t batch_linger_us = 200;
-  /// Bounded admission: SubmitAsync fails fast with kResourceExhausted once
-  /// this many requests are queued, so a flood of producers cannot grow the
-  /// backlog (and its memory) without limit. 0 means unbounded -- the
-  /// pre-robustness behavior.
+  /// Bounded admission: a submission (one SubmitAsync or one whole
+  /// SearchBatch) fails fast with kResourceExhausted if it would push the
+  /// queued queries past this, so a flood of producers cannot grow the
+  /// backlog (and its memory) without limit. 0 means unbounded.
   std::size_t max_queue_depth = 16384;
   /// Base of the per-query seed derivation (see QuerySeed).
   std::uint64_t seed = 0x5EEDC0FFEE5EEDULL;
@@ -90,9 +92,9 @@ struct EngineConfig {
   std::uint32_t trace_sample_period = 64;
   /// Optional per-query trace dump: invoked synchronously after each batch
   /// for every SAMPLED query with (resolved query seed, completed trace).
-  /// Runs on the batch-executing thread with no engine locks held, but
-  /// stalls serving while it runs -- keep it cheap, and make it thread-safe
-  /// if batches come from several threads.
+  /// Runs on the scheduler thread with no engine locks held, but stalls
+  /// serving while it runs -- keep it cheap, and never search this engine
+  /// from it (the search would wait on the thread that is running the sink).
   std::function<void(std::uint64_t, const obs::QueryTrace&)> trace_sink;
 };
 
@@ -144,37 +146,40 @@ class SearchEngine {
   /// through the sequential reference.
   static std::uint64_t QuerySeed(std::uint64_t base, std::uint64_t ticket);
 
-  /// Synchronous batched search, also behind the single-query Search.
-  /// responses->at(i) receives query i's outcome (GLOBAL ids); a failed
-  /// query reports through its own response.status while the rest of the
-  /// batch still executes, and the first per-query error is also returned.
-  /// Each request's options.seed is used verbatim when set, else
-  /// QuerySeed(config.seed, i). Filters ride in the options and are pushed
-  /// into the per-shard scans (see ShardedIndex).
+  /// Blocking batched search, also behind the single-query Search: the
+  /// valid requests are ONE queue submission, admitted or refused whole and
+  /// never split. responses->at(i) receives query i's outcome (GLOBAL ids);
+  /// a failed query reports through its own response.status while the rest
+  /// still execute. Returns the refusal (which every response carries), else
+  /// the first per-query error. options.seed is used verbatim when set, else
+  /// QuerySeed(config.seed, i); relative timeouts resolve against one
+  /// admission timestamp. Filters ride in the options and are pushed into
+  /// the per-shard scans (see ShardedIndex). An exception thrown while the
+  /// batch executes is rethrown here.
   Status SearchBatch(const SearchRequest* requests, std::size_t num_requests,
                      std::vector<SearchResponse>* responses);
 
-  /// Synchronous single query: a batch of one.
+  /// Blocking single query: a SearchBatch of one.
   SearchResponse Search(const SearchRequest& request);
 
-  /// Enqueues one query for the micro-batching scheduler and returns a
-  /// future fulfilled when its batch executes. The vector is copied; the
-  /// options (including the filter VIEW -- keep its bitmap/context alive
-  /// until the future resolves) ride along. options.seed unset draws the
-  /// next ticket from the engine's auto-seed stream; set, it is used
-  /// verbatim, making the result reproducible independently of submission
-  /// interleaving. Overload behavior: with the queue at max_queue_depth the
-  /// future resolves immediately with kResourceExhausted; a request whose
+  /// Submits one query (a submission of one) to the request queue and
+  /// returns a future fulfilled when its batch executes. The vector is
+  /// copied; the options (including the filter VIEW -- keep its
+  /// bitmap/context alive until the future resolves) ride along.
+  /// options.seed unset draws the next ticket from the engine's auto-seed
+  /// stream; set, it is used verbatim, making the result reproducible
+  /// independently of submission interleaving. Overload behavior: with the
+  /// queue at max_queue_depth the future resolves immediately with
+  /// kResourceExhausted (after Drain, kFailedPrecondition); a request whose
   /// deadline (options.deadline / options.timeout_us, resolved against the
   /// submission time) expires while queued is shed unexecuted and resolves
   /// with kDeadlineExceeded.
   std::future<SearchResponse> SubmitAsync(const SearchRequest& request);
 
-  /// Graceful shutdown: closes admission (subsequent SubmitAsync resolves
-  /// with kFailedPrecondition), serves or sheds every already-accepted
-  /// request, joins the scheduler, and stops the background compactor.
-  /// Idempotent; the destructor calls it. Synchronous entry points
-  /// (SearchBatch / Search) keep working after a drain.
+  /// Graceful shutdown: closes admission (every later search -- SubmitAsync,
+  /// SearchBatch, Search -- is refused with kFailedPrecondition), serves or
+  /// sheds every already-accepted query, joins the scheduler, and stops the
+  /// background compactor. Idempotent; the destructor calls it.
   void Drain();
 
   /// Appends one vector (copied): reserves the next global id, then
@@ -232,21 +237,17 @@ class SearchEngine {
     std::mutex writer_mutex;
   };
 
-  /// Executes `n` gathered queries: one shared lock per shard, one batched
-  /// rotation, then a (query x shard) scatter across the pool followed by a
-  /// per-query merge pass. Exactly one batch runs at a time (batch_mutex_):
-  /// per-worker scratch and the cell buffers are reused across batches.
-  /// `responses` (length n) point at default-constructed responses; each
-  /// receives its query's status, neighbors, stats and scatter-gather
-  /// degradation tallies (partial / shards_ok / shards_failed).
-  /// `submit_times` non-null switches the recorded per-query latency from
-  /// batch execution time to submit-to-completion time (the async path,
-  /// queueing included).
-  void ExecuteBatch(const float* const* queries, std::size_t n,
-                    const SearchOptions* const* options,
-                    const std::uint64_t* seeds,
-                    const std::chrono::steady_clock::time_point* submit_times,
-                    SearchResponse* const* responses);
+  /// Queues the `n` queries at `group` as one submission, or refuses them
+  /// all: resolves every promise with the refusal and returns it.
+  Status Admit(QueuedQuery* group, std::size_t n);
+
+  /// Executes a popped batch on the scheduler thread, the only thread that
+  /// runs batches (so the scratch below needs no lock): one shared lock per
+  /// shard, one batched rotation, a (query x shard) scatter across the pool,
+  /// a per-query merge pass. Records stats (latency and kQueueWait run from
+  /// submit time), then resolves every promise. If it throws, no promise
+  /// has been resolved yet.
+  void ExecuteBatch(std::vector<QueuedQuery>* batch);
 
   void SchedulerLoop();
   void CompactorLoop();
@@ -269,9 +270,8 @@ class SearchEngine {
   std::vector<std::unique_ptr<ShardSync>> sync_;  // one per shard
   std::atomic<std::uint64_t> epoch_{0};
 
-  // One batch in flight at a time; guards the scratch below.
-  std::mutex batch_mutex_;
-  Matrix gather_buf_;   // batch x dim, for async requests
+  // Batch scratch, touched only by the scheduler thread.
+  Matrix gather_buf_;   // batch x dim, the gathered queries
   Matrix rotated_buf_;  // batch x total_bits, the batched rotation
   std::vector<ShardedSearchScratch> worker_scratch_;  // one per pool thread
   // (query x shard) cell buffers, laid out q * num_shards + s.
@@ -282,7 +282,7 @@ class SearchEngine {
   // Observability. metrics_ is declared before stats_ (the collector
   // resolves its metrics out of it at construction). Traced queries write
   // into trace_storage_ slots (QueryTrace holds atomics, so the storage is
-  // a raw array grown to the largest batch, guarded by batch_mutex_);
+  // a raw array grown to the largest batch, scheduler thread only);
   // batch_traces_[q] is the sampled query q's trace or null.
   obs::MetricsRegistry metrics_;
   obs::Histogram* stage_hist_[obs::kNumStages];
@@ -302,7 +302,7 @@ class SearchEngine {
 
   EngineStatsCollector stats_;
 
-  // Async serving.
+  // Admission and scheduling.
   RequestQueue queue_;
   std::atomic<std::uint64_t> next_ticket_{0};
   std::thread scheduler_;

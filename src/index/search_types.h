@@ -184,7 +184,8 @@ struct SearchOptions {
 
   /// Relative spelling of `deadline`: a budget in microseconds from the
   /// moment the serving layer admits the query (SubmitAsync / SearchBatch /
-  /// Search entry). 0 = no timeout. Ignored when `deadline` is already set.
+  /// Search entry; one timestamp for a whole SearchBatch). 0 = no timeout.
+  /// Ignored when `deadline` is already set.
   std::uint64_t timeout_us = 0;
 
   /// True when either deadline form is armed.

@@ -24,7 +24,7 @@ namespace obs {
 
 /// Pipeline stages of one served query, in execution order.
 enum class Stage : std::uint8_t {
-  kQueueWait = 0,   // SubmitAsync enqueue -> batch execution start
+  kQueueWait = 0,   // admission (any search) -> batch execution start
   kPreprocess = 1,  // gather + batched query rotation (P^T q)
   kProbeOrder = 2,  // centroid distances + nprobe-prefix ordering
   kScan = 3,        // fused estimate+prune over probed lists (minus re-rank)

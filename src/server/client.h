@@ -63,9 +63,10 @@ class Client {
   SearchResponse Search(const std::string& name, const float* query,
                         std::size_t dim, const SearchOptions& options);
 
-  /// Client-side batch: one round-trip, executed on the server through the
-  /// synchronous SearchBatch path. Returns the first per-query error (the
-  /// responses still carry every query's outcome), or the transport error.
+  /// Client-side batch: one round-trip, one engine submission (SearchBatch)
+  /// on the server, admitted or refused whole. Returns the refusal or the
+  /// first per-query error (the responses still carry every query's
+  /// outcome), or the transport error.
   Status BatchSearch(const std::string& name, const float* queries,
                      std::size_t num, std::size_t dim,
                      const SearchOptions& options,

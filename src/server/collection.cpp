@@ -108,8 +108,8 @@ Status CollectionManager::Drop(const std::string& name) {
     victim = std::move(it->second);
     collections_.erase(it);
   }
-  // Drain outside the lock; requests still holding the shared_ptr finish
-  // against the drained engine (synchronous search stays valid post-drain).
+  // Drain outside the lock; requests still holding the shared_ptr are
+  // refused by the drained engine (kFailedPrecondition).
   victim->engine->Drain();
   return Status::Ok();
 }

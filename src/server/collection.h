@@ -94,7 +94,7 @@ class CollectionManager {
   Status Restore(const std::string& name);
 
   /// Drains every collection's engine (graceful shutdown). Collections stay
-  /// in the registry; synchronous search keeps working post-drain.
+  /// in the registry; searches on them are refused post-drain.
   void DrainAll();
 
   std::size_t size() const;

@@ -492,8 +492,9 @@ std::string Server::HandleBatchSearch(WireReader* r) {
     requests[i].query = queries.data() + static_cast<std::size_t>(i) * dim;
     requests[i].options = options;
   }
-  // Synchronous batched path: the caller already amortized client-side, so
-  // it bypasses the micro-batching queue (and its admission bound).
+  // One engine submission: admitted or refused whole against the same
+  // queue and bound as HandleSearch; a refusal still answers one response
+  // per query, each carrying the refusal status.
   std::vector<SearchResponse> responses;
   const Status first_error = collection->engine->SearchBatch(
       requests.data(), requests.size(), &responses);

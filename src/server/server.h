@@ -4,13 +4,13 @@
 // partial responses, graceful drain); this layer's job is to map them onto
 // the wire without losing information:
 //
-//   * Search dispatches through SubmitAsync -- one queue, one admission
-//     bound, one micro-batcher across ALL connections -- so an overloaded
-//     server answers kResourceExhausted / kDeadlineExceeded protocol
-//     statuses instead of stalling accepts, and concurrent clients' queries
-//     coalesce into shared batches exactly like in-process producers.
-//     BatchSearch is the synchronous path (SearchBatch), for callers that
-//     already batch client-side.
+//   * Search (SubmitAsync) and BatchSearch (SearchBatch, one submission of
+//     n queries) both go through the engine's request queue -- one queue,
+//     one admission bound, one micro-batcher across ALL connections -- so
+//     an overloaded server answers kResourceExhausted / kDeadlineExceeded
+//     protocol statuses instead of stalling accepts, and concurrent
+//     clients' queries and batches coalesce into shared batches exactly
+//     like in-process producers. A BatchSearch is admitted or refused whole.
 //   * Framing errors (bad magic/version, oversized body, CRC mismatch, torn
 //     read) fail CLOSED: the connection drops without a response -- a peer
 //     that cannot frame cannot be trusted to parse one. Well-framed but

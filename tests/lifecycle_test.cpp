@@ -427,6 +427,9 @@ void LifecycleTest::RunEngineChurnStress(std::size_t num_shards) {
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : searchers) t.join();
+  // The per-shard reads below touch index internals directly, so the
+  // background compactor must be quiesced too: Drain joins it.
+  engine.Drain();
 
   const EngineStatsSnapshot stats = engine.Stats();
   EXPECT_EQ(stats.inserts, inserts_done.load());

@@ -19,8 +19,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/search_engine.h"
@@ -226,8 +229,9 @@ TEST_F(OverloadTest, QueuedRequestsPastDeadlineAreShed) {
   EXPECT_EQ(stats.queries_rejected, 0u);
 }
 
-// An already-expired deadline on the synchronous path returns immediately:
-// kDeadlineExceeded, partial, zero probes -- but a well-formed response.
+// An already-expired deadline on the blocking path returns without executing:
+// kDeadlineExceeded, partial, zero probes -- but a well-formed response. The
+// query crosses the request queue, which sheds it before it runs.
 TEST_F(OverloadTest, ExpiredDeadlineReturnsPartialEmptyResponse) {
   SearchEngine engine(BuildIndex(data_, 8));
 
@@ -241,9 +245,14 @@ TEST_F(OverloadTest, ExpiredDeadlineReturnsPartialEmptyResponse) {
   EXPECT_EQ(response.stats.lists_probed, 0u);
   EXPECT_EQ(response.shards_failed, 0u);
 
+  // Shed, not executed: it counts in queries_shed, and neither in the
+  // executed-query tallies (deadline_exceeded / partial_responses) nor in
+  // queries.
   const EngineStatsSnapshot stats = engine.Stats();
-  EXPECT_GE(stats.deadline_exceeded, 1u);
-  EXPECT_GE(stats.partial_responses, 1u);
+  EXPECT_EQ(stats.queries_shed, 1u);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+  EXPECT_EQ(stats.partial_responses, 0u);
+  EXPECT_EQ(stats.queries, 0u);
 }
 
 // Bit-safety: arming a deadline that never trips must not change a single
@@ -331,8 +340,114 @@ TEST_F(OverloadTest, MidScanDeadlineKeepsResultInvariants) {
   }
 }
 
-// Drain(): already-accepted work is served, later submissions are refused,
-// the synchronous path stays usable, and a second drain is a no-op.
+// Batch admission: a SearchBatch is one submission, admitted or refused
+// whole. More queries than max_queue_depth can never fit, so the refusal is
+// deterministic: every response carries kResourceExhausted, nothing runs,
+// and all n count in queries_rejected. A batch that fits is then served.
+TEST_F(OverloadTest, OversizedSearchBatchIsRefusedWhole) {
+  constexpr std::size_t kDepth = 4;
+  SearchEngine engine = MakeWedgeableEngine(kDepth);
+
+  std::vector<SearchRequest> requests;
+  for (std::size_t i = 0; i <= kDepth; ++i) requests.push_back(PlainRequest(i));
+  std::vector<SearchResponse> responses;
+  EXPECT_EQ(engine.SearchBatch(requests.data(), kDepth + 1, &responses).code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_EQ(responses.size(), kDepth + 1);
+  for (const SearchResponse& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(response.neighbors.empty());
+  }
+  EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.queries_rejected, kDepth + 1);
+  EXPECT_EQ(stats.queries, 0u);
+
+  // max_batch is 1, but a submission is never split: the 4 run as one batch.
+  ASSERT_TRUE(engine.SearchBatch(requests.data(), kDepth, &responses).ok());
+  ASSERT_EQ(responses.size(), kDepth);
+  for (const SearchResponse& response : responses) {
+    EXPECT_FALSE(response.neighbors.empty());
+  }
+  stats = engine.Stats();
+  EXPECT_EQ(stats.queries_rejected, kDepth + 1);
+  EXPECT_EQ(stats.queries, kDepth);
+  EXPECT_EQ(stats.batches, 1u);
+}
+
+// max_batch = 0 must not wedge the scheduler: PopBatch always takes at least
+// one submission. Every wait is bounded so a regression fails instead of
+// hanging.
+TEST_F(OverloadTest, MaxBatchZeroStillServes) {
+  EngineConfig config;
+  config.num_threads = 2;
+  config.max_batch = 0;
+  auto* engine = new SearchEngine(BuildIndex(data_, 8), config);
+  constexpr auto kBound = std::chrono::seconds(30);
+  // SearchBatch and Drain block, so they run on helper threads, joined on
+  // success. On a hang the test detaches them and leaks the engine and the
+  // responses they write: joining or destroying either would wait forever
+  // on the wedged scheduler.
+  const auto run = [](auto fn) {
+    std::packaged_task<void()> task(std::move(fn));
+    std::future<void> done = task.get_future();
+    return std::make_pair(std::thread(std::move(task)), std::move(done));
+  };
+
+  std::future<SearchResponse> single = engine->SubmitAsync(PlainRequest(0));
+  const SearchRequest requests[] = {PlainRequest(1), PlainRequest(2),
+                                    PlainRequest(3)};
+  auto responses = std::make_shared<std::vector<SearchResponse>>();
+  auto [batch_caller, batch] = run([engine, requests, responses] {
+    (void)engine->SearchBatch(requests, 3, responses.get());
+  });
+  if (single.wait_for(kBound) != std::future_status::ready ||
+      batch.wait_for(kBound) != std::future_status::ready) {
+    batch_caller.detach();
+    FAIL() << "max_batch = 0 wedged the scheduler";
+  }
+  batch_caller.join();
+  const SearchResponse served = single.get();
+  EXPECT_TRUE(served.ok()) << served.status.message();
+  EXPECT_FALSE(served.neighbors.empty());
+  ASSERT_EQ(responses->size(), 3u);
+  for (const SearchResponse& response : *responses) {
+    EXPECT_TRUE(response.ok()) << response.status.message();
+    EXPECT_FALSE(response.neighbors.empty());
+  }
+
+  auto [drainer, drained] = run([engine] { engine->Drain(); });
+  if (drained.wait_for(kBound) != std::future_status::ready) {
+    drainer.detach();
+    FAIL() << "Drain did not return";
+  }
+  drainer.join();
+  delete engine;
+}
+
+// An exception thrown while a batch executes reaches every caller of that
+// batch through get() -- a SearchBatch caller sees it thrown -- and the
+// scheduler thread survives to serve the next search.
+TEST_F(OverloadTest, BatchExceptionReachesCallersAndSchedulerSurvives) {
+  SearchEngine engine = MakeWedgeableEngine(/*max_queue_depth=*/64);
+  SearchRequest throwing = PlainRequest(0);
+  throwing.options.filter = IdFilter::FromPredicate(
+      [](void*, std::uint32_t) -> bool { throw std::runtime_error("boom"); },
+      nullptr);
+
+  std::vector<SearchResponse> responses;
+  EXPECT_THROW((void)engine.SearchBatch(&throwing, 1, &responses),
+               std::runtime_error);
+  std::future<SearchResponse> async = engine.SubmitAsync(throwing);
+  EXPECT_THROW((void)async.get(), std::runtime_error);
+
+  const SearchResponse served = engine.Search(PlainRequest(1));
+  EXPECT_TRUE(served.ok()) << served.status.message();
+  EXPECT_FALSE(served.neighbors.empty());
+}
+
+// Drain(): already-accepted work is served, later searches are refused on
+// every entry point (SubmitAsync, Search, SearchBatch), and a second drain
+// is a no-op.
 TEST_F(OverloadTest, DrainServesAcceptedWorkThenRefusesNew) {
   EngineConfig config;
   config.num_threads = 2;
@@ -353,8 +468,16 @@ TEST_F(OverloadTest, DrainServesAcceptedWorkThenRefusesNew) {
   EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition);
 
   const SearchResponse sync = engine.Search(PlainRequest(1));
-  EXPECT_TRUE(sync.ok()) << sync.status.message();
-  EXPECT_FALSE(sync.neighbors.empty());
+  EXPECT_EQ(sync.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(sync.neighbors.empty());
+  const SearchRequest batch[] = {PlainRequest(2), PlainRequest(3)};
+  std::vector<SearchResponse> responses;
+  EXPECT_EQ(engine.SearchBatch(batch, 2, &responses).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_EQ(responses.size(), 2u);
+  for (const SearchResponse& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
+  }
 
   engine.Drain();  // idempotent
 }

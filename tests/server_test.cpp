@@ -7,9 +7,11 @@
 //     filters. The server builds with ShardClustering::kShared for exactly
 //     this property.
 //   * Degradation crosses the wire: queued-deadline shedding arrives as a
-//     kDeadlineExceeded protocol status with the partial flag set, and
-//     (failpoint builds) an admission rejection arrives as
-//     kResourceExhausted -- not as collapsed IO errors.
+//     kDeadlineExceeded protocol status with the partial flag set, a
+//     batch_search larger than max_queue_depth is refused whole as
+//     kResourceExhausted, and (failpoint builds) an injected admission
+//     rejection of a search or batch_search arrives as kResourceExhausted
+//     -- not as collapsed IO errors.
 //   * Lifecycle over the wire: create/list/drop errors, snapshot -> drop ->
 //     restore round-trips bit-identically, drain shuts the server down.
 //   * Fault drills (RABITQ_FAILPOINTS builds): a torn response write fails
@@ -269,8 +271,47 @@ TEST_F(ServerTest, QueuedDeadlineShedCrossesTheWireAsPartial) {
   EXPECT_FALSE(served.neighbors.empty());
 }
 
+// batch_search is one engine submission, admitted or refused whole. A batch
+// of more queries than max_queue_depth can never fit, so it is refused
+// deterministically: resource_exhausted, every query's response carrying
+// the refusal. The connection survives, and a batch that fits is served.
+TEST_F(ServerTest, BatchSearchIsAdmittedOrRefusedWhole) {
+  constexpr std::size_t kDepth = 4;
+  ServerConfig config = BaseConfig();
+  config.collections.engine.max_queue_depth = kDepth;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(
+      client.CreateCollection("bounded", Spec(Metric::kL2, 1), data_).ok());
+
+  std::vector<SearchResponse> responses;
+  EXPECT_EQ(client
+                .BatchSearch("bounded", queries_.Row(0), kDepth + 1, kDim,
+                             SeededOptions(5), &responses)
+                .code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_EQ(responses.size(), kDepth + 1);
+  for (const SearchResponse& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(response.neighbors.empty());
+  }
+
+  EXPECT_TRUE(client.connected());
+  ASSERT_TRUE(client
+                  .BatchSearch("bounded", queries_.Row(0), kDepth, kDim,
+                               SeededOptions(5), &responses)
+                  .ok());
+  ASSERT_EQ(responses.size(), kDepth);
+  for (const SearchResponse& response : responses) {
+    EXPECT_TRUE(response.status.ok()) << response.status.message();
+    EXPECT_FALSE(response.neighbors.empty());
+  }
+}
+
 // An admission rejection (queue full, injected deterministically) answers
-// kResourceExhausted over the wire.
+// kResourceExhausted over the wire, for search and batch_search alike.
 TEST_F(ServerTest, AdmissionRejectionCrossesTheWire) {
   if (!fail::FailpointsCompiledIn()) {
     GTEST_SKIP() << "build with -DRABITQ_FAILPOINTS=ON";
@@ -292,6 +333,25 @@ TEST_F(ServerTest, AdmissionRejectionCrossesTheWire) {
   const SearchResponse served =
       client.Search("full", queries_.Row(0), kDim, SeededOptions(3));
   EXPECT_TRUE(served.status.ok()) << served.status.message();
+
+  fail::Configure("engine.queue_push", fail::Mode::kOnce);
+  std::vector<SearchResponse> responses;
+  EXPECT_EQ(client
+                .BatchSearch("full", queries_.Row(0), 3, kDim,
+                             SeededOptions(3), &responses)
+                .code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_EQ(responses.size(), 3u);
+  for (const SearchResponse& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(response.neighbors.empty());
+  }
+  ASSERT_TRUE(client
+                  .BatchSearch("full", queries_.Row(0), 3, kDim,
+                               SeededOptions(3), &responses)
+                  .ok());
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(responses[0].neighbors.empty());
 }
 
 // Request-level errors arrive as first-class protocol statuses, and none of
