@@ -70,7 +70,9 @@ int main() {
     bench::CheckOk(encoder.Init(kDim, config), "encoder init");
     RabitqCodeStore store(encoder.total_bits());
     bench::CheckOk(encoder.EncodeAppend(o.data(), nullptr, &store), "encode");
-    encoder.ReconstructQuantizedUnit(store.BitsAt(0), o_bar.data());
+    std::vector<std::uint64_t> bits(store.words_per_code());
+    store.UnpackPlane(0, 0, bits.data());
+    encoder.ReconstructQuantizedUnit(bits.data(), o_bar.data());
 
     const double oo = Dot(o_bar.data(), o.data(), kDim);
     const double oe1 = Dot(o_bar.data(), e1.data(), kDim);

@@ -104,7 +104,7 @@ void RunRabitq(const Matrix& base, const Matrix& queries, const Matrix& truth,
         } else {
           for (std::size_t i = 0; i < ids.size(); ++i) {
             estimates.At(q, ids[i]) =
-                EstimateDistance(qq, codes.View(i), 0.0f).dist_sq;
+                EstimateDistance(qq, codes, i, 0.0f).dist_sq;
           }
         }
       }

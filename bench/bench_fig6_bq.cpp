@@ -57,7 +57,7 @@ int main() {
                                     &rng, &qq, bq),
                        "prepare");
         for (std::size_t i = 0; i < store.size(); ++i) {
-          err.Add(EstimateDistance(qq, store.View(i), 0.0f).dist_sq,
+          err.Add(EstimateDistance(qq, store, i, 0.0f).dist_sq,
                   truth.At(q, i), floor);
         }
       }

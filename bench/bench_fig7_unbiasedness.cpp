@@ -72,9 +72,9 @@ int main() {
     for (std::size_t i = 0; i < base.rows(); ++i) {
       truth_norm.push_back(truth.At(q, i) / max_truth);
       rabitq_est.push_back(
-          EstimateDistance(qq, store.View(i), 0.0f).dist_sq / max_truth);
+          EstimateDistance(qq, store, i, 0.0f).dist_sq / max_truth);
       rabitq_biased_est.push_back(
-          EstimateDistanceBiased(qq, store.View(i)).dist_sq / max_truth);
+          EstimateDistanceBiased(qq, store, i).dist_sq / max_truth);
       opq_est.push_back(
           opq.EstimateWithLuts(opq_codes.data() + i * opq.num_segments(),
                                luts.data()) /

@@ -1,13 +1,15 @@
 // Micro-benchmarks for the hot query-phase kernels (Section 3.3 efficiency
 // claims plus this repo's fused estimate pipeline):
-//   * estimate+bound assembly: the legacy per-code path (sqrt + divide +
-//     AoS view, the pre-factor-precomputation code) vs the fused scalar
+//   * estimate+bound assembly: the legacy per-code path (sqrt + divide,
+//     the pre-factor-precomputation code) vs the fused scalar
 //     reference vs the fused AVX2 kernel -- the headline `speedup_assemble`
 //     is fused vs the scalar reference, `speedup_assemble_vs_legacy` shows
 //     the full hoisting win;
 //   * end-to-end per-list scan: fast-scan accumulation + assembly +
 //     candidate selection, two-pass (estimate everything, then re-scan the
 //     buffers) vs the fused in-kernel-pruned single pass;
+//   * the bitwise source of a block's sums (B_q and+popcount passes per
+//     code, the path behind B_q >= 7), per code over the 4096-code list;
 //   * the bitwise single-code estimator (B_q and+popcount passes) vs PQ's
 //     LUT-in-RAM ADC (the paper reports ~3x in RaBitQ's favor);
 //   * the shared fast-scan LUT kernel, AVX2 vs scalar;
@@ -80,30 +82,31 @@ struct Row {
   std::string unit;  // what one op is
 };
 
-// The pre-factor-precomputation assembly, verbatim from the old estimator:
-// an AoS view materialization plus a divide and (inside IpErrorBound) a
-// sqrt + divide per code. Kept here as the bench baseline.
+// The pre-factor-precomputation assembly of the old estimator: per code,
+// the primary factors (dist_to_centroid, o_o, bit_count) read from the
+// store, then a divide and (inside IpErrorBound) a sqrt + divide. Kept here
+// as the bench baseline.
 inline float LegacyAssemble(const QuantizedQuery& query,
-                            const RabitqCodeView& code, std::uint32_t s,
-                            float epsilon0, float* lb_out) {
-  if (code.dist_to_centroid == 0.0f) {
+                            const RabitqCodeStore& store, std::size_t i,
+                            std::uint32_t s, float epsilon0, float* lb_out) {
+  const float d_c = store.dist_to_centroid(i);
+  if (d_c == 0.0f) {
     const float d = query.q_dist * query.q_dist;
     *lb_out = d;
     return d;
   }
   if (query.q_dist == 0.0f) {
-    const float d = code.dist_to_centroid * code.dist_to_centroid;
+    const float d = d_c * d_c;
     *lb_out = d;
     return d;
   }
-  const float x_qbar = query.ip_scale * static_cast<float>(s) +
-                       query.pop_scale * static_cast<float>(code.bit_count) +
-                       query.bias;
-  const float o_o = std::max(code.o_o, 1e-9f);
+  const float pc = static_cast<float>(store.bit_count(i));
+  const float x_qbar =
+      query.ip_scale * static_cast<float>(s) + query.pop_scale * pc + query.bias;
+  const float o_o = std::max(store.o_o(i), 1e-9f);
   const float ip = x_qbar / o_o;
-  const float cross = 2.0f * code.dist_to_centroid * query.q_dist;
-  const float dist = code.dist_to_centroid * code.dist_to_centroid +
-                     query.q_dist * query.q_dist - cross * ip;
+  const float cross = 2.0f * d_c * query.q_dist;
+  const float dist = d_c * d_c + query.q_dist * query.q_dist - cross * ip;
   const float ip_error = IpErrorBound(o_o, epsilon0, query.total_bits);
   *lb_out = dist - cross * ip_error;
   return dist;
@@ -136,7 +139,6 @@ void BuildScanFixture(ScanFixture* fx) {
       std::exit(1);
     }
   }
-  fx->store.Finalize();
   for (auto& v : vec) v = static_cast<float>(rng.Gaussian());
   if (!PrepareQuery(fx->encoder, vec.data(), centroid.data(), &rng,
                     &fx->query)
@@ -166,8 +168,8 @@ void RunAssemblyBenches(const ScanFixture& fx, std::vector<Row>* rows,
   const double legacy_ns = NsPerOp(
       [&] {
         for (std::size_t i = 0; i < kScanCodes; ++i) {
-          est[i] = LegacyAssemble(fx.query, fx.store.View(i), fx.sums[i],
-                                  eps0, &lb[i]);
+          est[i] = LegacyAssemble(fx.query, fx.store, i, fx.sums[i], eps0,
+                                  &lb[i]);
         }
         g_sink_f = g_sink_f + est[0] + lb[kScanCodes - 1];
       },
@@ -245,8 +247,8 @@ void RunScanBenches(const ScanFixture& fx, std::vector<Row>* rows,
           const std::size_t begin = b * kFastScanBlockSize;
           for (std::size_t k = 0; k < kFastScanBlockSize; ++k) {
             est[begin + k] =
-                LegacyAssemble(fx.query, fx.store.View(begin + k), sums[k],
-                               eps0, &lb[begin + k]);
+                LegacyAssemble(fx.query, fx.store, begin + k, sums[k], eps0,
+                               &lb[begin + k]);
           }
         }
         for (std::size_t i = 0; i < kScanCodes; ++i) {
@@ -282,6 +284,24 @@ void RunScanBenches(const ScanFixture& fx, std::vector<Row>* rows,
   rows->push_back({"scan_per_list_fused", fused_ns, "code"});
 
   *speedup_scan = twopass_ns / fused_ns;
+}
+
+void RunBitwiseBlockBench(const ScanFixture& fx, std::vector<Row>* rows) {
+  // The Eq. 22 source of a block's sums: B_q bitwise and+popcount passes
+  // per code. Taken only at B_q >= 7 or with the batch estimator off.
+  const std::size_t num_blocks = fx.store.packed().num_blocks;
+  rows->push_back({"bitwise_block",
+                   NsPerOp(
+                       [&] {
+                         std::uint32_t sums[kFastScanBlockSize];
+                         for (std::size_t b = 0; b < num_blocks; ++b) {
+                           AccumulateBlockSums(fx.query, fx.store, b,
+                                               /*fast_scan=*/false, sums);
+                           g_sink_u = g_sink_u + sums[b % kFastScanBlockSize];
+                         }
+                       },
+                       kScanCodes),
+                   "code"});
 }
 
 void RunSingleCodeBenches(std::vector<Row>* rows) {
@@ -416,6 +436,7 @@ int Run(int argc, char** argv) {
   RunAssemblyBenches(fx, &rows, &speedup_assemble,
                      &speedup_assemble_vs_legacy);
   RunScanBenches(fx, &rows, &speedup_scan);
+  RunBitwiseBlockBench(fx, &rows);
   RunSingleCodeBenches(&rows);
   RunFastScanBenches(&rows);
   RunRotatorBenches(&rows);

@@ -43,7 +43,6 @@ int main() {
       bench::CheckOk(encoder.EncodeAppend(base.Row(i), centroid.data(), &store),
                      "rabitq encode");
     }
-    store.Finalize();
     const double encode_s = encode_timer.ElapsedSeconds();
     table.AddRow({"RaBitQ", TablePrinter::FormatDouble(train_s, 1),
                   TablePrinter::FormatDouble(encode_s, 1),

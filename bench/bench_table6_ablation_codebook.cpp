@@ -24,10 +24,11 @@ namespace {
 double CodeEntropyFraction(const RabitqCodeStore& store) {
   const std::size_t b = store.total_bits();
   std::vector<std::size_t> ones(b, 0);
+  std::vector<std::uint64_t> bits(store.words_per_code());
   for (std::size_t i = 0; i < store.size(); ++i) {
-    const std::uint64_t* bits = store.BitsAt(i);
+    store.UnpackPlane(i, 0, bits.data());
     for (std::size_t j = 0; j < b; ++j) {
-      if (GetBit(bits, j)) ++ones[j];
+      if (GetBit(bits.data(), j)) ++ones[j];
     }
   }
   double entropy = 0.0;
@@ -93,7 +94,7 @@ int main() {
           PrepareQuery(encoder, queries.Row(q), centroid.data(), &rng, &qq),
           "prepare");
       for (std::size_t i = 0; i < store.size(); ++i) {
-        err.Add(EstimateDistance(qq, store.View(i), 0.0f).dist_sq,
+        err.Add(EstimateDistance(qq, store, i, 0.0f).dist_sq,
                 truth.At(q, i), floor);
       }
     }

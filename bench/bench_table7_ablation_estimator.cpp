@@ -53,9 +53,9 @@ int main() {
         "prepare");
     for (std::size_t i = 0; i < store.size(); ++i) {
       const float truth = L2SqrDistance(queries.Row(q), base.Row(i), dim);
-      unbiased_err.Add(EstimateDistance(qq, store.View(i), 0.0f).dist_sq,
+      unbiased_err.Add(EstimateDistance(qq, store, i, 0.0f).dist_sq,
                        truth, floor);
-      biased_err.Add(EstimateDistanceBiased(qq, store.View(i)).dist_sq, truth,
+      biased_err.Add(EstimateDistanceBiased(qq, store, i).dist_sq, truth,
                      floor);
     }
   }

@@ -68,7 +68,7 @@ int main() {
     float best_est = -2.0f, best_true = -2.0f;
     std::size_t best_est_id = 0, best_true_id = 0;
     for (std::size_t i = 0; i < store.size(); ++i) {
-      const float est_cos = EstimateDistance(qq, store.View(i), 0.0f).ip;
+      const float est_cos = EstimateDistance(qq, store, i, 0.0f).ip;
       const float true_cos = Dot(queries.Row(q), base.Row(i), dim);
       total_abs_err += std::abs(est_cos - true_cos);
       ++pairs;

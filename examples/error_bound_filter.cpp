@@ -47,7 +47,6 @@ int main() {
       return 1;
     }
   }
-  store.Finalize();
 
   Rng rng(3);
   std::size_t total_pruned = 0, total_candidates = 0, false_discards = 0;

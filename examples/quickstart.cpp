@@ -54,7 +54,6 @@ int main() {
       return 1;
     }
   }
-  store.Finalize();  // builds the packed layout for the batch estimator
   std::printf("Encoded %zu vectors of dim %zu into %zu-bit codes "
               "(%.1fx compression vs float32)\n",
               store.size(), kDim, encoder.total_bits(),
@@ -77,7 +76,7 @@ int main() {
   std::size_t bound_violations = 0;
   for (std::size_t i = 0; i < store.size(); ++i) {
     const DistanceEstimate est =
-        EstimateDistance(qq, store.View(i), config.epsilon0);
+        EstimateDistance(qq, store, i, config.epsilon0);
     const float truth = L2SqrDistance(query.data(), data.Row(i), kDim);
     total_rel_err += std::abs(est.dist_sq - truth) / truth;
     if (est.lower_bound_sq > truth) ++bound_violations;

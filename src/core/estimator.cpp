@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -342,31 +343,36 @@ inline std::uint32_t FusedBlockDispatch(const QuantizedQuery& query,
                           prune_threshold, dist_sq, lower_bounds);
 }
 
-// Single-code 1-bit estimate: B_q bitwise passes (Eq. 22), then the block
-// kernels' own AssembleLane, so this path is bit-identical to the fused
-// ones by construction. Adds the ip / ip_error outputs the block kernels do
-// not carry (ip = 1, ip_error = 0 at the two L2 edges). `f_inv_oo` = 1
-// skips Thm 3.2's division by <o-bar, o>: the biased ablation of Appendix
-// F.2, which keeps <o-bar, q> as its estimate.
+// Single-code 1-bit estimate of code `i`: B_q bitwise passes (Eq. 22) over
+// its unpacked sign plane, then the block kernels' own AssembleLane, so
+// this path is bit-identical to the fused ones by construction. Adds the
+// ip / ip_error outputs the block kernels do not carry (ip = 1, ip_error =
+// 0 at the two L2 edges). `f_inv_oo` = 1 skips Thm 3.2's division by
+// <o-bar, o>: the biased ablation of Appendix F.2, which keeps <o-bar, q>
+// as its estimate.
 DistanceEstimate EstimateSingle(const QuantizedQuery& query,
-                                const RabitqCodeView& code, float f_inv_oo,
-                                float epsilon0) {
-  const float s_f = static_cast<float>(BitwiseDotQuery(query, code.bits));
-  const float pc_f = static_cast<float>(code.bit_count);
+                                const RabitqCodeStore& store, std::size_t i,
+                                float f_inv_oo, float epsilon0) {
+  std::vector<std::uint64_t> bits(store.words_per_code());
+  store.UnpackPlane(i, store.bits_per_dim() - 1, bits.data());
+  const float s_f = static_cast<float>(BitwiseDotQuery(query, bits.data()));
+  const float pc_f = static_cast<float>(store.bit_count(i));
+  const float d = store.dist_to_centroid(i);
+  const float f_err = store.f_err_data()[i];
   const bool l2_edges = query.metric == Metric::kL2;
   DistanceEstimate est;
-  AssembleLane(s_f, pc_f, code.dist_to_centroid, code.f_sq, code.f_cross,
-               f_inv_oo, code.f_err, query.q_dist, query.q_base,
-               query.ip_scale, query.pop_scale, query.bias, epsilon0, l2_edges,
-               &est.dist_sq, &est.lower_bound_sq);
-  if (l2_edges && (code.dist_to_centroid == 0.0f || query.q_dist == 0.0f)) {
+  AssembleLane(s_f, pc_f, d, store.f_sq_data()[i], store.f_cross_data()[i],
+               f_inv_oo, f_err, query.q_dist, query.q_base, query.ip_scale,
+               query.pop_scale, query.bias, epsilon0, l2_edges, &est.dist_sq,
+               &est.lower_bound_sq);
+  if (l2_edges && (d == 0.0f || query.q_dist == 0.0f)) {
     est.ip = 1.0f;
     return est;
   }
   est.ip = std::fma(query.ip_scale, s_f,
                     std::fma(query.pop_scale, pc_f, query.bias)) *
            f_inv_oo;
-  est.ip_error = epsilon0 > 0.0f ? code.f_err * epsilon0 : 0.0f;
+  est.ip_error = epsilon0 > 0.0f ? f_err * epsilon0 : 0.0f;
   return est;
 }
 
@@ -386,13 +392,16 @@ std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
 }
 
 DistanceEstimate EstimateDistance(const QuantizedQuery& query,
-                                  const RabitqCodeView& code, float epsilon0) {
-  return EstimateSingle(query, code, code.f_inv_oo, epsilon0);
+                                  const RabitqCodeStore& store, std::size_t i,
+                                  float epsilon0) {
+  return EstimateSingle(query, store, i, store.f_inv_oo_data()[i], epsilon0);
 }
 
 DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
-                                        const RabitqCodeView& code) {
-  return EstimateSingle(query, code, /*f_inv_oo=*/1.0f, /*epsilon0=*/0.0f);
+                                        const RabitqCodeStore& store,
+                                        std::size_t i) {
+  return EstimateSingle(query, store, i, /*f_inv_oo=*/1.0f,
+                        /*epsilon0=*/0.0f);
 }
 
 std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
@@ -427,15 +436,11 @@ std::uint32_t EstimateBlockFusedPrunedScalar(
 std::uint32_t BitwiseDotQueryMulti(const QuantizedQuery& query,
                                    const RabitqCodeStore& store,
                                    std::size_t i) {
-  const std::size_t top = store.bits_per_dim() - 1;
-  std::uint32_t s = BitwiseDotQuery(query, store.BitsAt(i)) << top;
-  const std::uint64_t* extra = store.ExtraPlanesAt(i);
-  for (std::size_t j = 0; j < top; ++j) {
-    s += BitPlaneDot(extra + j * store.words_per_code(),
-                     query.bit_planes.data(),
-                     static_cast<std::size_t>(query.query_bits),
-                     query.num_words)
-         << j;
+  std::vector<std::uint64_t> plane(store.words_per_code());
+  std::uint32_t s = 0;
+  for (std::size_t p = 0; p < store.bits_per_dim(); ++p) {
+    store.UnpackPlane(i, p, plane.data());
+    s += BitwiseDotQuery(query, plane.data()) << p;
   }
   return s;
 }
@@ -517,6 +522,25 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
                           lower_bounds);
 }
 
+void AccumulateBlockSums(const QuantizedQuery& query,
+                         const RabitqCodeStore& store, std::size_t block,
+                         bool fast_scan, std::uint32_t* sums) {
+  if (fast_scan) {
+    const FastScanCodes& packed = store.packed();
+    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
+                            query.luts.data(), sums);
+    return;
+  }
+  const std::size_t begin = block * kFastScanBlockSize;
+  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
+  const std::size_t sign_plane = store.bits_per_dim() - 1;
+  std::vector<std::uint64_t> bits(store.words_per_code());
+  for (std::size_t k = 0; k < count; ++k) {
+    store.UnpackPlane(begin + k, sign_plane, bits.data());
+    sums[k] = BitwiseDotQuery(query, bits.data());
+  }
+}
+
 void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block) {
 #if defined(__GNUC__) || defined(__clang__)
   const FastScanCodes& packed = store.packed();
@@ -543,7 +567,7 @@ void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds) {
   // No pruning here (+inf threshold); the dispatcher's scalar tail writes
   // exactly the partial block's lanes, so results land in place.
-  const bool fast_scan = query.has_exact_luts && store.finalized();
+  const bool fast_scan = query.has_exact_luts;
   const std::size_t num_blocks =
       (store.size() + kFastScanBlockSize - 1) / kFastScanBlockSize;
   std::uint32_t sums[kFastScanBlockSize];

@@ -61,15 +61,17 @@ float IpErrorBound(float o_o, float epsilon0, std::size_t total_bits);
 std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
                               const std::uint64_t* code_bits);
 
-/// Full single-code estimate. `epsilon0` <= 0 skips the bound computation
-/// (lower_bound_sq = dist_sq).
+/// Full single-code estimate of code `i` of `store`. `epsilon0` <= 0 skips
+/// the bound computation (lower_bound_sq = dist_sq).
 DistanceEstimate EstimateDistance(const QuantizedQuery& query,
-                                  const RabitqCodeView& code, float epsilon0);
+                                  const RabitqCodeStore& store, std::size_t i,
+                                  float epsilon0);
 
 /// Naive (PQ-style, biased) estimator <o-bar, q> used by the Table 7
 /// ablation: same bit arithmetic but WITHOUT dividing by <o-bar, o>.
 DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
-                                        const RabitqCodeView& code);
+                                        const RabitqCodeStore& store,
+                                        std::size_t i);
 
 /// Fused assembly over one block (32 codes) given its sums `sums`
 /// (<x_b, q-bar_u> per lane, from either source: see AccumulateBlockSums):
@@ -78,9 +80,8 @@ DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
 /// kFastScanBlockSize floats -- a full block is stored 8 lanes at a time,
 /// and lanes past size() on the tail block are left untouched. AVX2+FMA
 /// when available, bit-identical to the scalar reference. Reads only the
-/// store's factor arrays, never its packed layout or the query's LUTs, so
-/// has_exact_luts and finalized() constrain the LUT source of `sums`, not
-/// this kernel.
+/// store's factor arrays, never its packed planes or the query's LUTs, so
+/// has_exact_luts constrains the LUT source of `sums`, not this kernel.
 ///
 /// The mask is the scan's candidate set, pruned in-kernel: bit k set
 /// iff lane k is a real code (k < count for a tail block), is not
@@ -124,7 +125,8 @@ std::uint32_t EstimateBlockFusedPrunedScalar(
 // agree bit-for-bit with each other and with the single-code path (tested).
 
 /// Weighted bitwise dot for a multi-bit code: S = sum_j 2^j <plane_j, qu>,
-/// the sign plane contributing 2^(bits_per_dim - 1).
+/// the sign plane contributing 2^(bits_per_dim - 1). Each plane is
+/// unpacked from the store's packed layout first.
 std::uint32_t BitwiseDotQueryMulti(const QuantizedQuery& query,
                                    const RabitqCodeStore& store,
                                    std::size_t i);
@@ -138,8 +140,8 @@ DistanceEstimate EstimateDistanceMulti(const QuantizedQuery& query,
 /// Accumulates the weighted multi-bit LUT sums S for one packed block into
 /// `multi_sums` (kFastScanBlockSize entries): `sign_sums` are the sign-plane
 /// sums the stage-1 scan already produced (reused, not recomputed), the
-/// extra planes are accumulated here. Requires query.has_exact_luts and a
-/// finalized store with bits_per_dim() > 1.
+/// extra planes are accumulated here. Requires query.has_exact_luts and
+/// bits_per_dim() > 1.
 void AccumulateMultiBlockSums(const QuantizedQuery& query,
                               const RabitqCodeStore& store, std::size_t block,
                               const std::uint32_t* sign_sums,
@@ -173,25 +175,12 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
 
 /// Fills `sums` with <x_b, q-bar_u> for block `block`'s lanes (lanes past
 /// size() on the tail block are left untouched). `fast_scan` selects the
-/// fast-scan LUT kernel, which requires query.has_exact_luts and
-/// store.finalized(); otherwise each lane takes B_q bitwise passes
+/// fast-scan LUT kernel, which requires query.has_exact_luts; otherwise
+/// each lane unpacks its sign plane and takes B_q bitwise passes
 /// (BitwiseDotQuery), which works at any B_q. The two sources are equal.
-inline void AccumulateBlockSums(const QuantizedQuery& query,
-                                const RabitqCodeStore& store,
-                                std::size_t block, bool fast_scan,
-                                std::uint32_t* sums) {
-  if (fast_scan) {
-    const FastScanCodes& packed = store.packed();
-    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
-                            query.luts.data(), sums);
-    return;
-  }
-  const std::size_t begin = block * kFastScanBlockSize;
-  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
-  for (std::size_t k = 0; k < count; ++k) {
-    sums[k] = BitwiseDotQuery(query, store.BitsAt(begin + k));
-  }
-}
+void AccumulateBlockSums(const QuantizedQuery& query,
+                         const RabitqCodeStore& store, std::size_t block,
+                         bool fast_scan, std::uint32_t* sums);
 
 /// Software-prefetches block `block`'s packed codes and factor arrays into
 /// cache; no-op past the last block. The block scan loops (EstimateAll, the
@@ -200,9 +189,8 @@ inline void AccumulateBlockSums(const QuantizedQuery& query,
 void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block);
 
 /// Estimates all codes in `store` through the block path, with fast-scan
-/// sums when query.has_exact_luts and store.finalized(), bitwise sums
-/// otherwise; `dist_sq` (and `lower_bounds` if non-null) must hold
-/// store.size() floats.
+/// sums when query.has_exact_luts, bitwise sums otherwise; `dist_sq` (and
+/// `lower_bounds` if non-null) must hold store.size() floats.
 void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds);
 

@@ -7,11 +7,78 @@
 
 namespace rabitq {
 
+namespace {
+
+// Writes `code`'s nibbles into slot `i` of `plane`, the next free one,
+// growing the plane by a zero-filled block when `i` opens one (the layout
+// PackFastScanCodes produces). A fresh slot is zero, so the writes OR into
+// it, and a null `code` (the all-zero plane) writes nothing.
+void WriteSlot(const std::uint64_t* code, std::size_t i, FastScanCodes* plane) {
+  const std::size_t num_segments = plane->num_segments;
+  const std::size_t block = i / kFastScanBlockSize;
+  const std::size_t slot = i % kFastScanBlockSize;
+  if (block >= plane->num_blocks) {
+    plane->num_blocks = block + 1;
+    plane->packed.resize(plane->num_blocks * num_segments * 16, 0);
+  }
+  plane->num_vectors = i + 1;
+  if (code == nullptr) return;
+  std::uint8_t* block_ptr = plane->packed.data() + block * num_segments * 16;
+  const unsigned shift = slot < 16 ? 0 : 4;
+  for (std::size_t t = 0; t < num_segments; ++t) {
+    block_ptr[t * 16 + (slot & 15)] |=
+        static_cast<std::uint8_t>(GetNibble(code, t) << shift);
+  }
+}
+
+}  // namespace
+
+void RabitqCodeStore::Reserve(std::size_t n) {
+  dist_to_centroid_.reserve(n);
+  o_o_.reserve(n);
+  bit_count_.reserve(n);
+  norm_sq_.reserve(n);
+  f_sq_.reserve(n);
+  f_cross_.reserve(n);
+  f_inv_oo_.reserve(n);
+  f_err_.reserve(n);
+  if (bits_per_dim_ > 1) {
+    m_o_o_.reserve(n);
+    m_code_sum_.reserve(n);
+    m_alpha_.reserve(n);
+    m_beta_.reserve(n);
+    m_inv_oo_.reserve(n);
+    m_err_.reserve(n);
+  }
+  const std::size_t blocks = (n + kFastScanBlockSize - 1) / kFastScanBlockSize;
+  for (FastScanCodes& plane : planes_) {
+    plane.packed.reserve(blocks * plane.num_segments * 16);
+  }
+}
+
+void RabitqCodeStore::UnpackPlane(std::size_t i, std::size_t p,
+                                  std::uint64_t* out) const {
+  const FastScanCodes& plane = planes_[p];
+  const std::uint8_t* bytes =
+      plane.BlockPtr(i / kFastScanBlockSize) + (i % 16);
+  const unsigned shift = i % kFastScanBlockSize < 16 ? 0 : 4;
+  // Segment t holds bits [4t, 4t + 4): 16 segments per word.
+  for (std::size_t w = 0; w < words_per_code_; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 16; ++k) {
+      const std::uint64_t nibble = (bytes[(w * 16 + k) * 16] >> shift) & 0xF;
+      word |= nibble << (4 * k);
+    }
+    out[w] = word;
+  }
+}
+
 void RabitqCodeStore::Append(const std::uint64_t* bits, float dist_to_centroid,
                              float o_o, std::uint32_t bit_count, float norm_sq,
                              const std::uint64_t* extra_planes, float m_o_o,
                              float m_alpha, float m_beta, float m_code_sum) {
-  bits_.insert(bits_.end(), bits, bits + words_per_code_);
+  const std::size_t i = size();
+  WriteSlot(bits, i, &planes_.back());
   dist_to_centroid_.push_back(dist_to_centroid);
   o_o_.push_back(o_o);
   bit_count_.push_back(bit_count);
@@ -33,14 +100,12 @@ void RabitqCodeStore::Append(const std::uint64_t* bits, float dist_to_centroid,
   f_inv_oo_.push_back(1.0f / o_c);
   const float o_sq = std::max(o_c * o_c, 1e-12f);
   f_err_.push_back(std::sqrt((1.0f - o_sq) / o_sq) /
-                   std::sqrt(static_cast<float>(total_bits_ - 1)));
+                   std::sqrt(static_cast<float>(code_length_ - 1)));
   if (bits_per_dim_ > 1) {
-    const std::size_t extra_words = extra_words_per_code();
-    if (extra_planes != nullptr) {
-      extra_bits_.insert(extra_bits_.end(), extra_planes,
-                         extra_planes + extra_words);
-    } else {
-      extra_bits_.resize(extra_bits_.size() + extra_words, 0);
+    for (std::size_t j = 0; j + 1 < bits_per_dim_; ++j) {
+      WriteSlot(extra_planes == nullptr ? nullptr
+                                        : extra_planes + j * words_per_code_,
+                i, &planes_[j]);
     }
     m_o_o_.push_back(m_o_o);
     m_alpha_.push_back(m_alpha);
@@ -55,96 +120,38 @@ void RabitqCodeStore::Append(const std::uint64_t* bits, float dist_to_centroid,
     // At 8 bits <x-bar, o'> sits so close to 1 that rounding could nudge
     // mo_sq past it; clamp the numerator so the half-width stays 0, not NaN.
     m_err_.push_back(std::sqrt(std::max(1.0f - mo_sq, 0.0f) / mo_sq) /
-                     std::sqrt(static_cast<float>(total_bits_ - 1)));
-  }
-}
-
-void RabitqCodeStore::Finalize() {
-  const std::size_t n = size();
-  const std::size_t num_segments = total_bits_ / 4;
-  // Expand each code into one nibble value per byte, then pack.
-  std::vector<std::uint8_t> nibbles(n * num_segments);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t* code = BitsAt(i);
-    for (std::size_t t = 0; t < num_segments; ++t) {
-      nibbles[i * num_segments + t] = GetNibble(code, t);
-    }
-  }
-  PackFastScanCodes(nibbles.data(), n, num_segments, &packed_);
-  // Each extra plane gets its own packing so the stage-2 refine can reuse
-  // the 1-bit LUT accumulator verbatim, one pass per plane.
-  for (std::size_t j = 0; j + 1 < bits_per_dim_; ++j) {
-    const std::size_t extra_words = extra_words_per_code();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t* plane =
-          extra_bits_.data() + i * extra_words + j * words_per_code_;
-      for (std::size_t t = 0; t < num_segments; ++t) {
-        nibbles[i * num_segments + t] = GetNibble(plane, t);
-      }
-    }
-    PackFastScanCodes(nibbles.data(), n, num_segments, &extra_packed_[j]);
-  }
-}
-
-void RabitqCodeStore::FinalizeAppend() {
-  const std::size_t n = size();
-  if (n == 0) return;
-  if (packed_.num_vectors + 1 != n) {
-    Finalize();  // store was not finalized right before this append
-    return;
-  }
-  const std::size_t num_segments = total_bits_ / 4;
-  const std::size_t i = n - 1;
-  const std::size_t block = i / kFastScanBlockSize;
-  const std::size_t slot = i % kFastScanBlockSize;
-  const auto write_slot = [&](FastScanCodes* dst, const std::uint64_t* code) {
-    if (block >= dst->num_blocks) {
-      dst->num_segments = num_segments;
-      dst->num_blocks = block + 1;
-      // Tail slots of the new block start zero-filled, as PackFastScanCodes
-      // leaves them.
-      dst->packed.resize(dst->num_blocks * num_segments * 16, 0);
-    }
-    std::uint8_t* block_ptr = dst->packed.data() + block * num_segments * 16;
-    for (std::size_t t = 0; t < num_segments; ++t) {
-      const std::uint8_t nibble = GetNibble(code, t);
-      std::uint8_t& byte = block_ptr[t * 16 + (slot & 15)];
-      byte = slot < 16
-                 ? static_cast<std::uint8_t>((byte & 0xF0) | nibble)
-                 : static_cast<std::uint8_t>((byte & 0x0F) | (nibble << 4));
-    }
-    dst->num_vectors = n;
-  };
-  write_slot(&packed_, BitsAt(i));
-  for (std::size_t j = 0; j + 1 < bits_per_dim_; ++j) {
-    write_slot(&extra_packed_[j],
-               ExtraPlanesAt(i) + j * words_per_code_);
+                     std::sqrt(static_cast<float>(code_length_ - 1)));
   }
 }
 
 void RabitqCodeStore::CompactInto(const std::uint8_t* dead,
                                   RabitqCodeStore* out) const {
-  out->Init(total_bits_, metric_, bits_per_dim_);
+  out->Init(code_length_, metric_, bits_per_dim_);
   const std::size_t n = size();
   std::size_t live = 0;
   for (std::size_t i = 0; i < n; ++i) live += dead[i] == 0;
   out->Reserve(live);
   const bool multi = bits_per_dim_ > 1;
+  std::vector<std::uint64_t> bits(words_per_code_);
+  std::vector<std::uint64_t> extra(extra_words_per_code());
   for (std::size_t i = 0; i < n; ++i) {
     if (dead[i]) continue;
+    UnpackPlane(i, bits_per_dim_ - 1, bits.data());
     // Append recomputes the derived factors from the same (dist, o_o,
     // norm_sq) floats -- a pure function, so the compacted store's factors
     // are bit-identical to the originals (tested).
     if (multi) {
-      out->Append(BitsAt(i), dist_to_centroid_[i], o_o_[i], bit_count_[i],
-                  norm_sq_[i], ExtraPlanesAt(i), m_o_o_[i], m_alpha_[i],
+      for (std::size_t j = 0; j + 1 < bits_per_dim_; ++j) {
+        UnpackPlane(i, j, extra.data() + j * words_per_code_);
+      }
+      out->Append(bits.data(), dist_to_centroid_[i], o_o_[i], bit_count_[i],
+                  norm_sq_[i], extra.data(), m_o_o_[i], m_alpha_[i],
                   m_beta_[i], m_code_sum_[i]);
     } else {
-      out->Append(BitsAt(i), dist_to_centroid_[i], o_o_[i], bit_count_[i],
+      out->Append(bits.data(), dist_to_centroid_[i], o_o_[i], bit_count_[i],
                   norm_sq_[i]);
     }
   }
-  if (out->size() > 0) out->Finalize();
 }
 
 Status RabitqEncoder::Init(std::size_t dim, const RabitqConfig& config) {
@@ -171,20 +178,20 @@ Status RabitqEncoder::Init(std::size_t dim, const RabitqConfig& config) {
   }
   RABITQ_RETURN_IF_ERROR(
       CreateRotator(dim, padded, config.rotator, config.seed, &rotator_));
-  total_bits_ = rotator_->padded_dim();  // kFht may round up to a power of 2
+  code_length_ = rotator_->padded_dim();  // kFht may round up to a power of 2
   return Status::Ok();
 }
 
 Status RabitqEncoder::EncodeAppend(const float* vec, const float* centroid,
                                    RabitqCodeStore* store) const {
   if (store == nullptr) return Status::InvalidArgument("null store");
-  if (store->total_bits() != total_bits_) {
+  if (store->total_bits() != code_length_) {
     return Status::FailedPrecondition("store bit width mismatch");
   }
   if (store->bits_per_dim() != config_.bits_per_dim) {
     return Status::FailedPrecondition("store bits_per_dim mismatch");
   }
-  const std::size_t b = total_bits_;
+  const std::size_t b = code_length_;
   const std::size_t words = WordsForBits(b);
 
   // ||o_r||^2 always rides along to the store (it only enters the factors
@@ -286,7 +293,7 @@ Status RabitqEncoder::EncodeAppend(const float* vec, const float* centroid,
 
 void RabitqEncoder::ReconstructQuantizedUnit(const std::uint64_t* bits,
                                              float* out) const {
-  const std::size_t b = total_bits_;
+  const std::size_t b = code_length_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(b));
   std::vector<float> x_bar(b);
   for (std::size_t i = 0; i < b; ++i) {

@@ -28,8 +28,12 @@
 //             by eps0 at query time. Under IP/cosine the halved f_cross
 //             automatically halves the error term too, which is exactly the
 //             IP-analogue half-width: err(-<o,q>) = d_o d_q err(<u,v>).)
-// Codes live in an SoA store that also keeps the packed fast-scan layout for
-// the batch estimator.
+// Codes live in an SoA store: the factors in parallel arrays, the bits in
+// Andre et al.'s packed 4-bit fast-scan blocks (Section 3.3.2), which are
+// the only resident copy of a code's bits. Append writes a new code's
+// nibbles straight into the tail block; the rare readers that want a bit
+// string (the bitwise Eq. 22 path, compaction, snapshots) unpack one plane
+// of one code with UnpackPlane.
 //
 // MULTI-BIT CODES (bits_per_dim B_d in {1, 2, 4, 8}): each rotated residual
 // entry o'_i is quantized onto a symmetric uniform grid of 2^B_d levels over
@@ -38,10 +42,12 @@
 //   x-bar = rec / ||rec||  =>  x-bar_i = m_alpha * u_i + m_beta  with
 //   m_alpha = delta / ||rec||,  m_beta = (-m + 0.5 delta) / ||rec||
 // The grid is sign-split so the MSB plane of u IS the 1-bit sign code:
-// u_i >= 2^(B_d - 1) iff o'_i >= 0. The sign plane therefore keeps living in
-// bits_ (1-bit estimates, goldens and the stage-1 scan are unchanged for any
-// B_d) and only the B_d - 1 low planes are stored extra, each with its own
-// fast-scan packing. Per-code multi factors:
+// u_i >= 2^(B_d - 1) iff o'_i >= 0. The store keeps one packed plane per bit
+// of u, indexed by bit weight: plane B_d - 1 is the sign plane (packed(),
+// read by the 1-bit estimates and the stage-1 scan, unchanged for any B_d)
+// and planes 0 .. B_d - 2 are the low planes (extra_packed(j)), each
+// scanned by the same LUT accumulator in the stage-2 refine. Per-code
+// multi factors:
 //   m_o_o      = <x-bar, o'>      (replaces ||o'||_1 / sqrt(B) of the 1-bit
 //                                  code -- tighter, so the Eq. 16 bound
 //                                  shrinks with B_d)
@@ -87,22 +93,10 @@ struct RabitqConfig {
   std::uint64_t seed = 0x5A17B1D5EEDULL;
 };
 
-/// Read-only view of one stored code.
-struct RabitqCodeView {
-  const std::uint64_t* bits = nullptr;  // B / 64 words
-  float dist_to_centroid = 0.0f;        // ||o_r - c||
-  float o_o = 0.0f;                     // <o-bar, o>
-  std::uint32_t bit_count = 0;          // popcount(x_b)
-  // Precomputed estimator factors (see the header comment); derived from
-  // (dist_to_centroid, o_o, B) at append time, never stored on disk.
-  float f_sq = 0.0f;       // dist_to_centroid^2
-  float f_cross = 0.0f;    // 2 * dist_to_centroid
-  float f_inv_oo = 1.0f;   // 1 / max(o_o, 1e-9)
-  float f_err = 0.0f;      // Eq. 16 half-width sans eps0
-};
-
-/// Structure-of-arrays storage for RaBitQ codes; append during the index
-/// phase, then Finalize() to build the packed fast-scan layout.
+/// Structure-of-arrays storage for RaBitQ codes: factor arrays plus one
+/// packed fast-scan plane per code bit (see the header comment). Every
+/// Append leaves the packed planes current, so any non-empty store can be
+/// scanned.
 class RabitqCodeStore {
  public:
   RabitqCodeStore() = default;
@@ -113,7 +107,7 @@ class RabitqCodeStore {
   /// must match the encoder feeding this store (1, 2, 4 or 8).
   void Init(std::size_t total_bits, Metric metric = Metric::kL2,
             std::size_t bits_per_dim = 1) {
-    total_bits_ = total_bits;
+    code_length_ = total_bits;
     words_per_code_ = WordsForBits(total_bits);
     metric_ = metric;
     bits_per_dim_ = bits_per_dim;
@@ -121,7 +115,6 @@ class RabitqCodeStore {
   }
 
   void Clear() {
-    bits_.clear();
     dist_to_centroid_.clear();
     o_o_.clear();
     bit_count_.clear();
@@ -130,41 +123,20 @@ class RabitqCodeStore {
     f_cross_.clear();
     f_inv_oo_.clear();
     f_err_.clear();
-    extra_bits_.clear();
     m_o_o_.clear();
     m_code_sum_.clear();
     m_alpha_.clear();
     m_beta_.clear();
     m_inv_oo_.clear();
     m_err_.clear();
-    packed_ = FastScanCodes{};
-    extra_packed_.assign(bits_per_dim_ > 1 ? bits_per_dim_ - 1 : 0,
-                         FastScanCodes{});
+    planes_.assign(bits_per_dim_, FastScanCodes{});
+    for (FastScanCodes& plane : planes_) plane.num_segments = code_length_ / 4;
   }
 
-  void Reserve(std::size_t n) {
-    bits_.reserve(n * words_per_code_);
-    dist_to_centroid_.reserve(n);
-    o_o_.reserve(n);
-    bit_count_.reserve(n);
-    norm_sq_.reserve(n);
-    f_sq_.reserve(n);
-    f_cross_.reserve(n);
-    f_inv_oo_.reserve(n);
-    f_err_.reserve(n);
-    if (bits_per_dim_ > 1) {
-      extra_bits_.reserve(n * extra_words_per_code());
-      m_o_o_.reserve(n);
-      m_code_sum_.reserve(n);
-      m_alpha_.reserve(n);
-      m_beta_.reserve(n);
-      m_inv_oo_.reserve(n);
-      m_err_.reserve(n);
-    }
-  }
+  void Reserve(std::size_t n);
 
   std::size_t size() const { return dist_to_centroid_.size(); }
-  std::size_t total_bits() const { return total_bits_; }
+  std::size_t total_bits() const { return code_length_; }
   std::size_t words_per_code() const { return words_per_code_; }
   Metric metric() const { return metric_; }
   std::size_t bits_per_dim() const { return bits_per_dim_; }
@@ -174,21 +146,15 @@ class RabitqCodeStore {
     return bits_per_dim_ > 1 ? (bits_per_dim_ - 1) * words_per_code_ : 0;
   }
 
-  RabitqCodeView View(std::size_t i) const {
-    return RabitqCodeView{bits_.data() + i * words_per_code_,
-                          dist_to_centroid_[i], o_o_[i],      bit_count_[i],
-                          f_sq_[i],             f_cross_[i],  f_inv_oo_[i],
-                          f_err_[i]};
-  }
+  /// Unpacks bit plane `p` of code `i` into words_per_code() words at `out`.
+  /// `p` is the bit weight in u: p = bits_per_dim() - 1 is the sign plane
+  /// (the 1-bit code x_b), p < bits_per_dim() - 1 the low planes.
+  void UnpackPlane(std::size_t i, std::size_t p, std::uint64_t* out) const;
 
-  const std::uint64_t* BitsAt(std::size_t i) const {
-    return bits_.data() + i * words_per_code_;
-  }
   float dist_to_centroid(std::size_t i) const { return dist_to_centroid_[i]; }
   float o_o(std::size_t i) const { return o_o_[i]; }
   std::uint32_t bit_count(std::size_t i) const { return bit_count_[i]; }
   float norm_sq(std::size_t i) const { return norm_sq_[i]; }
-  const float* norm_sq_data() const { return norm_sq_.data(); }
 
   // SoA factor arrays for the fused batch estimator; parallel to the code
   // order, always size() entries (appended in lock-step by Append).
@@ -201,9 +167,6 @@ class RabitqCodeStore {
 
   // Multi-bit accessors; only meaningful when bits_per_dim() > 1 (the
   // arrays stay empty otherwise).
-  const std::uint64_t* ExtraPlanesAt(std::size_t i) const {
-    return extra_bits_.data() + i * extra_words_per_code();
-  }
   float m_o_o(std::size_t i) const { return m_o_o_[i]; }
   float m_alpha(std::size_t i) const { return m_alpha_[i]; }
   float m_beta(std::size_t i) const { return m_beta_[i]; }
@@ -213,12 +176,14 @@ class RabitqCodeStore {
   const float* m_code_sum_data() const { return m_code_sum_.data(); }
   const float* m_inv_oo_data() const { return m_inv_oo_.data(); }
   const float* m_err_data() const { return m_err_.data(); }
-  /// Packed fast-scan layout of extra plane j (0 <= j < bits_per_dim - 1).
+  /// Packed fast-scan layout of low plane j (0 <= j < bits_per_dim - 1).
   const FastScanCodes& extra_packed(std::size_t j) const {
-    return extra_packed_[j];
+    return planes_[j];
   }
 
-  /// Appends a code; `bits` must hold words_per_code() words. The derived
+  /// Appends a code; `bits` must hold words_per_code() words. Its nibbles
+  /// go straight into the tail slot of each packed plane, O(B/4) per plane,
+  /// which keeps single-vector index appends amortized O(1). The derived
   /// estimator factors are computed here under the store's metric -- every
   /// code-creation path (encode, single-vector append, compaction, snapshot
   /// load) funnels through this method, so factors can never go stale and
@@ -240,32 +205,22 @@ class RabitqCodeStore {
               float m_alpha = 0.0f, float m_beta = 0.0f,
               float m_code_sum = 0.0f);
 
-  /// Builds the packed fast-scan layout (4-bit nibbles of the bit strings).
-  /// Call once after the last Append.
-  void Finalize();
-
-  /// Incremental Finalize after appending ONE code to an already-finalized
-  /// store: writes the new code's nibbles into the (zero-filled) tail slots
-  /// of the packed layout -- O(B/4) instead of the O(n*B/4) full repack, the
-  /// piece that makes single-vector index appends amortized O(1). Falls back
-  /// to Finalize() when the store was not finalized at size()-1. The result
-  /// is bit-identical to a full Finalize() (tested).
-  void FinalizeAppend();
-
   /// Appends the codes whose `dead` flag is 0 into `*out` (Init'ed to the
-  /// same width by this call) and finalizes it -- the code-store half of an
-  /// IVF list compaction. `dead` must hold size() entries.
+  /// same width by this call) -- the code-store half of an IVF list
+  /// compaction. `dead` must hold size() entries.
   void CompactInto(const std::uint8_t* dead, RabitqCodeStore* out) const;
 
-  bool finalized() const { return packed_.num_vectors == size() && size() > 0; }
-  const FastScanCodes& packed() const { return packed_; }
+  /// Invariant: the packed planes always cover every appended code, so a
+  /// store is scannable exactly when it is non-empty.
+  bool finalized() const { return size() > 0; }
+  /// Packed fast-scan layout of the sign plane.
+  const FastScanCodes& packed() const { return planes_.back(); }
 
  private:
-  std::size_t total_bits_ = 0;
+  std::size_t code_length_ = 0;
   std::size_t words_per_code_ = 0;
   Metric metric_ = Metric::kL2;
   std::size_t bits_per_dim_ = 1;
-  AlignedVector<std::uint64_t> bits_;
   std::vector<float> dist_to_centroid_;
   std::vector<float> o_o_;
   std::vector<std::uint32_t> bit_count_;
@@ -276,17 +231,17 @@ class RabitqCodeStore {
   AlignedVector<float> f_cross_;
   AlignedVector<float> f_inv_oo_;
   AlignedVector<float> f_err_;
-  // Multi-bit state (empty at bits_per_dim_ == 1): low bit planes, primary
-  // factors (persisted) and derived factors (recomputed in Append).
-  AlignedVector<std::uint64_t> extra_bits_;
+  // Multi-bit factors (empty at bits_per_dim_ == 1): primary (persisted)
+  // and derived (recomputed in Append).
   std::vector<float> m_o_o_;
   AlignedVector<float> m_code_sum_;
   AlignedVector<float> m_alpha_;
   AlignedVector<float> m_beta_;
   AlignedVector<float> m_inv_oo_;
   AlignedVector<float> m_err_;
-  FastScanCodes packed_;
-  std::vector<FastScanCodes> extra_packed_;
+  // One packed plane per code bit, indexed by bit weight (the sign plane
+  // last); Init sizes it to bits_per_dim_.
+  std::vector<FastScanCodes> planes_ = std::vector<FastScanCodes>(1);
 };
 
 /// Stateless-per-vector encoder; owns the rotator (the conceptual codebook:
@@ -297,7 +252,7 @@ class RabitqEncoder {
   Status Init(std::size_t dim, const RabitqConfig& config);
 
   std::size_t dim() const { return dim_; }
-  std::size_t total_bits() const { return total_bits_; }
+  std::size_t total_bits() const { return code_length_; }
   const RabitqConfig& config() const { return config_; }
   const Rotator& rotator() const { return *rotator_; }
 
@@ -313,7 +268,7 @@ class RabitqEncoder {
  private:
   RabitqConfig config_;
   std::size_t dim_ = 0;
-  std::size_t total_bits_ = 0;
+  std::size_t code_length_ = 0;
   std::unique_ptr<Rotator> rotator_;
 };
 

@@ -15,7 +15,7 @@ SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
     : index_(std::move(index)),
       dim_(index_.dim()),
       metric_(index_.metric()),
-      bits_per_dim_(index_.encoder().config().bits_per_dim),
+      bits_per_dim_(index_.bits_per_dim()),
       config_(config),
       pool_(config.num_threads),
       worker_scratch_(pool_.num_threads()),

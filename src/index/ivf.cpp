@@ -176,7 +176,6 @@ Status IvfRabitqIndex::BuildFromClustering(const Matrix& data, Matrix centroids,
             }
           }
           list.dead.assign(list.ids.size(), 0);
-          if (!list.ids.empty()) list.codes.Finalize();
         }
       },
       /*min_chunk=*/1);
@@ -400,11 +399,10 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
         &list_rng, &qq, /*query_bits_override=*/0, metric_, query_norm_sq));
     const std::size_t n = list.ids.size();
     // Where a block's sums come from: the fast-scan LUT kernel when the
-    // query's u8 LUTs are lossless (B_q <= 6) and the list's packed layout
-    // is current, B_q bitwise passes per lane otherwise. Both give the same
-    // integer <x_b, q-bar_u>, so everything below is shared.
-    const bool fast_scan = params.use_batch_estimator && qq.has_exact_luts &&
-                           list.codes.finalized();
+    // query's u8 LUTs are lossless (B_q <= 6), B_q bitwise passes per lane
+    // otherwise. Both give the same integer <x_b, q-bar_u>, so everything
+    // below is shared.
+    const bool fast_scan = params.use_batch_estimator && qq.has_exact_luts;
     local_stats.codes_estimated += n;
 
     // Scan + selection (paper Section 4 made branch-free): per block,
@@ -559,7 +557,6 @@ Status IvfRabitqIndex::AppendToNearestList(std::uint32_t id,
       encoder_.EncodeAppend(vec, centroids_.Row(list_id), &list.codes));
   list.ids.push_back(id);
   list.dead.push_back(0);
-  list.codes.FinalizeAppend();  // extends the packed layout by one slot
   ++list.generation;
   id_to_list_[id] = list_id;
   id_to_pos_[id] = static_cast<std::uint32_t>(list.ids.size() - 1);

@@ -129,6 +129,8 @@ Status IvfRabitqIndex::SaveBody(const std::string& path) const {
   RABITQ_RETURN_IF_ERROR(writer->WriteU64(total_entries));
 
   // Per-list ids, tombstones and code arrays.
+  std::vector<std::uint64_t> bits(WordsForBits(encoder_.total_bits()));
+  std::vector<std::uint64_t> extra((bits_per_dim - 1) * bits.size());
   for (const List& list : lists_) {
     RABITQ_FAILPOINT("snapshot.write",
                      return Status::IoError("injected snapshot write fault"));
@@ -136,29 +138,34 @@ Status IvfRabitqIndex::SaveBody(const std::string& path) const {
         writer->WriteArray(list.ids.data(), list.ids.size()));
     RABITQ_RETURN_IF_ERROR(
         writer->WriteArray(list.dead.data(), list.dead.size()));
-    const std::size_t n = list.codes.size();
+    const RabitqCodeStore& codes = list.codes;
+    const std::size_t n = codes.size();
     RABITQ_RETURN_IF_ERROR(writer->WriteU64(n));
     for (std::size_t i = 0; i < n; ++i) {
-      const RabitqCodeView view = list.codes.View(i);
-      RABITQ_RETURN_IF_ERROR(writer->WriteBytes(
-          view.bits, list.codes.words_per_code() * sizeof(std::uint64_t)));
-      RABITQ_RETURN_IF_ERROR(writer->WriteF32(view.dist_to_centroid));
-      RABITQ_RETURN_IF_ERROR(writer->WriteF32(view.o_o));
-      RABITQ_RETURN_IF_ERROR(writer->WriteU32(view.bit_count));
+      // The store keeps bits only in its packed planes; the file keeps the
+      // bit strings, sign plane first, then the low planes plane-major.
+      codes.UnpackPlane(i, bits_per_dim - 1, bits.data());
+      RABITQ_RETURN_IF_ERROR(
+          writer->WriteBytes(bits.data(), bits.size() * sizeof(std::uint64_t)));
+      RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.dist_to_centroid(i)));
+      RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.o_o(i)));
+      RABITQ_RETURN_IF_ERROR(writer->WriteU32(codes.bit_count(i)));
       // v3: ||o_r||^2, stored (not recomputed at load: Update overwrites the
       // raw row of a stale entry, so the raw vectors cannot reproduce every
       // entry's norm) regardless of metric.
-      RABITQ_RETURN_IF_ERROR(writer->WriteF32(list.codes.norm_sq(i)));
+      RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.norm_sq(i)));
       // v4 multi payload: the low bit planes and the primary multi factors
       // (the rotated residual they derive from is never stored).
       if (bits_per_dim > 1) {
+        for (std::size_t j = 0; j + 1 < bits_per_dim; ++j) {
+          codes.UnpackPlane(i, j, extra.data() + j * bits.size());
+        }
         RABITQ_RETURN_IF_ERROR(writer->WriteBytes(
-            list.codes.ExtraPlanesAt(i),
-            list.codes.extra_words_per_code() * sizeof(std::uint64_t)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(list.codes.m_o_o(i)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(list.codes.m_alpha(i)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(list.codes.m_beta(i)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(list.codes.m_code_sum(i)));
+            extra.data(), extra.size() * sizeof(std::uint64_t)));
+        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_o_o(i)));
+        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_alpha(i)));
+        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_beta(i)));
+        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_code_sum(i)));
       }
     }
   }
@@ -362,7 +369,6 @@ Status IvfRabitqIndex::Load(const std::string& path) {
         list.codes.Append(bits.data(), dist, o_o, bit_count, norm_sq);
       }
     }
-    if (!list.ids.empty()) list.codes.Finalize();
   }
 
   // Rebuild the per-id lifecycle state from the list contents: an id is

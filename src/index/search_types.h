@@ -64,7 +64,7 @@ class IdFilter {
   static IdFilter AllowBitmap(const std::uint64_t* bits, std::size_t num_ids) {
     IdFilter f;
     f.kind_ = Kind::kAllow;
-    f.bits_ = bits;
+    f.bitmap_ = bits;
     f.num_ids_ = num_ids;
     return f;
   }
@@ -73,7 +73,7 @@ class IdFilter {
   static IdFilter DenyBitmap(const std::uint64_t* bits, std::size_t num_ids) {
     IdFilter f;
     f.kind_ = Kind::kDeny;
-    f.bits_ = bits;
+    f.bitmap_ = bits;
     f.num_ids_ = num_ids;
     return f;
   }
@@ -125,7 +125,7 @@ class IdFilter {
   }
   bool is_deny_bitmap() const { return kind_ == Kind::kDeny; }
   /// Valid only when is_bitmap(); (num_ids + 63) / 64 words are readable.
-  const std::uint64_t* bitmap_words() const { return bits_; }
+  const std::uint64_t* bitmap_words() const { return bitmap_; }
   std::size_t bitmap_num_ids() const { return num_ids_; }
 
  private:
@@ -133,11 +133,11 @@ class IdFilter {
 
   bool TestBit(std::uint32_t id) const {
     if (id >= num_ids_) return false;
-    return (bits_[id >> 6] >> (id & 63u)) & 1u;
+    return (bitmap_[id >> 6] >> (id & 63u)) & 1u;
   }
 
   Kind kind_ = Kind::kNone;
-  const std::uint64_t* bits_ = nullptr;
+  const std::uint64_t* bitmap_ = nullptr;
   std::size_t num_ids_ = 0;
   Predicate predicate_ = nullptr;
   void* context_ = nullptr;

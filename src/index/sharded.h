@@ -142,7 +142,13 @@ class ShardedIndex {
   std::size_t num_lists() const {
     return shards_.empty() ? 0 : shards_[0]->num_lists();
   }
+  /// Requires a built index; bits_per_dim() is the empty-safe read of the
+  /// code width.
   const RabitqEncoder& encoder() const { return shards_[0]->encoder(); }
+  /// Bits per dimension of the stored codes (1 while unbuilt).
+  std::size_t bits_per_dim() const {
+    return shards_.empty() ? 1 : shards_[0]->encoder().config().bits_per_dim;
+  }
   /// Distance metric (all shards are configured identically; enforced on
   /// Load against the manifest).
   Metric metric() const {

@@ -14,6 +14,7 @@
 
 #include "engine/search_engine.h"
 #include "index/ivf.h"
+#include "index/sharded.h"
 #include "linalg/vector_ops.h"
 #include "util/prng.h"
 
@@ -330,6 +331,30 @@ TEST(EngineTest, LatencyHistogramQuantiles) {
   // Degenerate q resolves to the first occupied bucket's upper edge.
   EXPECT_GE(hist.Quantile(0.0), 1.0);
   EXPECT_LE(hist.Quantile(0.0), 2.0);
+}
+
+// An engine over an unbuilt (zero-shard) index constructs cleanly and
+// refuses every search with kFailedPrecondition from the scheduler's
+// unbuilt-index branch; Drain still returns.
+TEST(EngineTest, UnbuiltIndexFailsSearchesAndDrains) {
+  SearchEngine engine{ShardedIndex{}};
+  EXPECT_EQ(engine.num_shards(), 0u);
+  EXPECT_EQ(engine.dim(), 0u);
+  EXPECT_EQ(engine.bits_per_dim(), 1u);
+  const float query[1] = {0.0f};
+  SearchOptions params;
+  params.k = 1;
+  EXPECT_EQ(engine.Search({query, params}).status.code(),
+            StatusCode::kFailedPrecondition);
+  const SearchRequest batch[] = {{query, params}, {query, params}};
+  std::vector<SearchResponse> responses;
+  EXPECT_EQ(engine.SearchBatch(batch, 2, &responses).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_EQ(responses.size(), 2u);
+  for (const SearchResponse& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
+  }
+  engine.Drain();
 }
 
 TEST(EngineTest, QuerySeedStreamIsStable) {

@@ -42,7 +42,6 @@ class ErrorBoundPropertyTest : public ::testing::Test {
       ASSERT_TRUE(
           encoder_.EncodeAppend(vec.data(), centroid_.data(), &store_).ok());
     }
-    store_.Finalize();
     queries_.resize(kNumQueries, std::vector<float>(kDim));
     for (auto& q : queries_) {
       for (auto& v : q) v = static_cast<float>(rng.Gaussian());
@@ -61,7 +60,7 @@ class ErrorBoundPropertyTest : public ::testing::Test {
                       .ok());
       for (std::size_t i = 0; i < kNumVectors; ++i) {
         const DistanceEstimate est =
-            EstimateDistance(qq, store_.View(i), epsilon0);
+            EstimateDistance(qq, store_, i, epsilon0);
         const float true_dist =
             L2SqrDistance(vectors_[i].data(), query.data(), kDim);
         *violations += true_dist < est.lower_bound_sq;
@@ -137,7 +136,7 @@ TEST_F(ErrorBoundPropertyTest, EstimatorIsUnbiased) {
                       .ok());
       for (std::size_t i = 0; i < kNumVectors; ++i) {
         const DistanceEstimate est =
-            EstimateDistance(qq, store.View(i), 1.9f);
+            EstimateDistance(qq, store, i, 1.9f);
         std::vector<float> o(kDim), qr(kDim);
         Subtract(vectors_[i].data(), centroid_.data(), o.data(), kDim);
         Subtract(queries_[q].data(), centroid_.data(), qr.data(), kDim);
@@ -193,8 +192,12 @@ TEST_F(ErrorBoundPropertyTest, ReEncodingIsDeterministic) {
   }
   ASSERT_EQ(again.size(), store_.size());
   for (std::size_t i = 0; i < store_.size(); ++i) {
+    std::vector<std::uint64_t> bits(store_.words_per_code());
+    std::vector<std::uint64_t> again_bits(again.words_per_code());
+    store_.UnpackPlane(i, 0, bits.data());
+    again.UnpackPlane(i, 0, again_bits.data());
     for (std::size_t w = 0; w < store_.words_per_code(); ++w) {
-      ASSERT_EQ(store_.BitsAt(i)[w], again.BitsAt(i)[w]);
+      ASSERT_EQ(bits[w], again_bits[w]);
     }
     EXPECT_EQ(store_.dist_to_centroid(i), again.dist_to_centroid(i));
     EXPECT_EQ(store_.o_o(i), again.o_o(i));

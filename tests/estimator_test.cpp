@@ -52,7 +52,6 @@ void BuildWorkload(std::size_t dim, std::size_t n, std::size_t n_queries,
                     .EncodeAppend(w->data.Row(i), w->centroid.data(), &w->store)
                     .ok());
   }
-  w->store.Finalize();
   for (std::size_t q = 0; q < n_queries; ++q) {
     const auto v = RandomVec(dim, &rng);
     std::copy_n(v.data(), dim, w->queries.Row(q));
@@ -74,7 +73,7 @@ TEST(EstimatorTest, SingleAndBatchPathsAgreeExactly) {
     EstimateAll(qq, w.store, 1.9f, batch_est.data(), batch_lb.data());
     for (std::size_t i = 0; i < w.store.size(); ++i) {
       const DistanceEstimate single =
-          EstimateDistance(qq, w.store.View(i), 1.9f);
+          EstimateDistance(qq, w.store, i, 1.9f);
       // Same integer S and identical float assembly: bitwise equality.
       ASSERT_EQ(batch_est[i], single.dist_sq) << "code " << i;
       ASSERT_EQ(batch_lb[i], single.lower_bound_sq) << "code " << i;
@@ -94,7 +93,7 @@ TEST(EstimatorTest, EstimatesTrackTrueDistances) {
                              &rng, &qq)
                     .ok());
     for (std::size_t i = 0; i < w.store.size(); ++i) {
-      const DistanceEstimate est = EstimateDistance(qq, w.store.View(i), 1.9f);
+      const DistanceEstimate est = EstimateDistance(qq, w.store, i, 1.9f);
       const float truth =
           L2SqrDistance(w.queries.Row(q), w.data.Row(i), w.data.cols());
       total_rel_err += std::fabs(est.dist_sq - truth) / truth;
@@ -132,7 +131,7 @@ TEST(EstimatorTest, InnerProductEstimatorIsUnbiased) {
     ASSERT_TRUE(enc.EncodeAppend(o.data(), nullptr, &store).ok());
     QuantizedQuery qq;
     ASSERT_TRUE(PrepareQuery(enc, q.data(), nullptr, &round_rng, &qq).ok());
-    mean_est += EstimateDistance(qq, store.View(0), 0.0f).ip;
+    mean_est += EstimateDistance(qq, store, 0, 0.0f).ip;
   }
   mean_est /= trials;
   // Std dev of one estimate is ~1/sqrt(B)~0.11; 300 trials -> SE ~0.007.
@@ -169,7 +168,7 @@ TEST(EstimatorTest, BiasedEstimatorUnderestimatesByFactorOO) {
     ASSERT_TRUE(enc.EncodeAppend(o.data(), nullptr, &store).ok());
     QuantizedQuery qq;
     ASSERT_TRUE(PrepareQuery(enc, q.data(), nullptr, &round_rng, &qq).ok());
-    mean_biased += EstimateDistanceBiased(qq, store.View(0)).ip;
+    mean_biased += EstimateDistanceBiased(qq, store, 0).ip;
   }
   mean_biased /= trials;
   EXPECT_NEAR(mean_biased, 0.8 * true_ip, 0.03);
@@ -199,7 +198,7 @@ TEST_P(ErrorBoundParamTest, OneSidedCoverageMatchesTheory) {
                       .ok());
       for (std::size_t i = 0; i < w.store.size(); ++i) {
         const DistanceEstimate est =
-            EstimateDistance(qq, w.store.View(i), eps0);
+            EstimateDistance(qq, w.store, i, eps0);
         const float truth =
             L2SqrDistance(w.queries.Row(q), w.data.Row(i), w.data.cols());
         if (est.lower_bound_sq <= truth) ++covered;
@@ -245,7 +244,7 @@ TEST_P(ErrorBoundParamTest, NearNeighborsAlmostNeverPruned) {
   ASSERT_TRUE(PrepareQuery(enc, query.data(), centroid.data(), &rng, &qq).ok());
   std::size_t failures = 0;
   for (std::size_t i = 0; i < store.size(); ++i) {
-    const DistanceEstimate est = EstimateDistance(qq, store.View(i), 1.9f);
+    const DistanceEstimate est = EstimateDistance(qq, store, i, 1.9f);
     const float truth =
         L2SqrDistance(query.data(), neighbors.Row(i), dim);
     if (est.lower_bound_sq > truth) ++failures;
@@ -280,7 +279,7 @@ TEST(EstimatorTest, ErrorShrinksWithCodeLength) {
         NormalizeInPlace(data_res.data(), dim);
         const float true_ip = Dot(query_res.data(), data_res.data(), dim);
         const DistanceEstimate est =
-            EstimateDistance(qq, w.store.View(i), 0.0f);
+            EstimateDistance(qq, w.store, i, 0.0f);
         err += std::fabs(est.ip - true_ip);
         ++count;
       }
@@ -316,7 +315,7 @@ TEST(EstimatorTest, DegenerateCodesShortCircuit) {
   std::vector<float> query(32, 3.0f);
   QuantizedQuery qq;
   ASSERT_TRUE(PrepareQuery(enc, query.data(), centroid.data(), &rng, &qq).ok());
-  const DistanceEstimate est = EstimateDistance(qq, store.View(0), 1.9f);
+  const DistanceEstimate est = EstimateDistance(qq, store, 0, 1.9f);
   // Distance is exactly ||query - centroid||^2 = 32 * 4.
   EXPECT_FLOAT_EQ(est.dist_sq, 128.0f);
   EXPECT_FLOAT_EQ(est.lower_bound_sq, 128.0f);
@@ -328,7 +327,7 @@ TEST(EstimatorTest, DegenerateCodesShortCircuit) {
   QuantizedQuery qq2;
   ASSERT_TRUE(
       PrepareQuery(enc, centroid.data(), centroid.data(), &rng, &qq2).ok());
-  const DistanceEstimate est2 = EstimateDistance(qq2, store2.View(0), 1.9f);
+  const DistanceEstimate est2 = EstimateDistance(qq2, store2, 0, 1.9f);
   EXPECT_FLOAT_EQ(est2.dist_sq, 32.0f);
 }
 
@@ -341,7 +340,7 @@ TEST(EstimatorTest, LowerBoundNeverExceedsEstimate) {
       PrepareQuery(w.encoder, w.queries.Row(0), w.centroid.data(), &rng, &qq)
           .ok());
   for (std::size_t i = 0; i < w.store.size(); ++i) {
-    const DistanceEstimate est = EstimateDistance(qq, w.store.View(i), 1.9f);
+    const DistanceEstimate est = EstimateDistance(qq, w.store, i, 1.9f);
     EXPECT_LE(est.lower_bound_sq, est.dist_sq);
   }
 }

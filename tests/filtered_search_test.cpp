@@ -350,7 +350,6 @@ TEST(FilteredKernelTest, FusedVsScalarMaskBitParity) {
       for (auto& x : v) x = static_cast<float>(rng.Gaussian());
       ASSERT_TRUE(encoder.EncodeAppend(v.data(), centroid.data(), &store).ok());
     }
-    store.Finalize();
 
     std::vector<float> query(dim);
     for (auto& x : query) x = static_cast<float>(rng.Gaussian());

@@ -7,8 +7,8 @@
 //     un-fused per-entry loop would have re-ranked (tombstone masks, tail
 //     lanes, threshold semantics included);
 //   * the per-code factors (f_sq/f_cross/f_inv_oo/f_err) computed at append
-//     time survive every code-creation path bit-for-bit: FinalizeAppend,
-//     CompactInto, and snapshot Load (v1 golden file and a v2 round trip --
+//     time survive every code-creation path bit-for-bit: incremental
+//     Append, CompactInto, and snapshot Load (v1 golden file and a v2 round trip --
 //     the factors are never serialized, always recomputed).
 
 #include <gtest/gtest.h>
@@ -111,7 +111,6 @@ void BuildWorkload(std::size_t dim, std::size_t n, std::size_t n_queries,
     ASSERT_TRUE(
         w->encoder.EncodeAppend(v.data(), w->centroid.data(), &w->store).ok());
   }
-  w->store.Finalize();
   w->queries.Reset(n_queries, dim);
   for (std::size_t q = 0; q < n_queries; ++q) {
     const auto v = RandomVec(dim, &rng);
@@ -141,7 +140,7 @@ void ExpectFusedMatchesScalar(const Workload& w, const QuantizedQuery& qq,
       ASSERT_EQ(fused_lb[k], ref_lb[k]) << "block " << block << " lane " << k;
       // And both match the single-code bitwise path exactly.
       const DistanceEstimate single =
-          EstimateDistance(qq, w.store.View(begin + k), epsilon0);
+          EstimateDistance(qq, w.store, begin + k, epsilon0);
       ASSERT_EQ(fused_d[k], single.dist_sq) << "block " << block << " lane "
                                             << k;
       ASSERT_EQ(fused_lb[k], single.lower_bound_sq)
@@ -300,7 +299,6 @@ TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
   std::vector<std::uint64_t> bits(store.words_per_code(), 0x5555555555555555u);
   store.Append(bits.data(), FLT_MAX, 0.5f, 32);
   ASSERT_EQ(store.f_sq_data()[8], std::numeric_limits<float>::infinity());
-  store.Finalize();
 
   std::vector<float> query(32, 1.0f);
   QuantizedQuery qq;
@@ -331,7 +329,7 @@ TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
             finite);
 }
 
-TEST(FusedEstimatorTest, FactorsSurviveFinalizeAppendAndCompaction) {
+TEST(FusedEstimatorTest, FactorsSurviveAppendAndCompaction) {
   Workload w;
   BuildWorkload(60, 50, 1, 64, 33, &w);
   ExpectFactorsMatch(w.store);
@@ -343,7 +341,6 @@ TEST(FusedEstimatorTest, FactorsSurviveFinalizeAppendAndCompaction) {
     for (auto& x : v) x = static_cast<float>(rng.Gaussian());
     ASSERT_TRUE(w.encoder.EncodeAppend(v.data(), w.centroid.data(), &w.store)
                     .ok());
-    w.store.FinalizeAppend();
   }
   ExpectFactorsMatch(w.store);
 
@@ -414,7 +411,7 @@ TEST(FusedEstimatorTest, GoldenV1LoadRecomputesFactors) {
     std::vector<float> est(store.size()), lb(store.size());
     EstimateAll(qq, store, 1.9f, est.data(), lb.data());
     for (std::size_t i = 0; i < store.size(); ++i) {
-      const DistanceEstimate single = EstimateDistance(qq, store.View(i), 1.9f);
+      const DistanceEstimate single = EstimateDistance(qq, store, i, 1.9f);
       ASSERT_EQ(est[i], single.dist_sq) << "list " << l << " code " << i;
       ASSERT_EQ(lb[i], single.lower_bound_sq) << "list " << l << " code " << i;
     }

@@ -83,7 +83,6 @@ TEST(IntegrationTest, RabitqBeatsPqAtHalfTheCodeLength) {
     ASSERT_TRUE(
         encoder.EncodeAppend(p.base.Row(i), centroid.data(), &store).ok());
   }
-  store.Finalize();
 
   ProductQuantizer pq;  // 2D bits: M = D/2 segments x 4 bits
   PqConfig pq_config;
@@ -109,7 +108,7 @@ TEST(IntegrationTest, RabitqBeatsPqAtHalfTheCodeLength) {
     for (std::size_t i = 0; i < p.base.rows(); ++i) {
       const float truth =
           L2SqrDistance(p.queries.Row(q), p.base.Row(i), dim);
-      rabitq_err.Add(EstimateDistance(qq, store.View(i), 0.0f).dist_sq, truth);
+      rabitq_err.Add(EstimateDistance(qq, store, i, 0.0f).dist_sq, truth);
       // PQx4fs-style estimate: u8-requantized LUT accumulation.
       std::uint32_t acc = 0;
       for (std::size_t m = 0; m < pq.num_segments(); ++m) {
@@ -167,7 +166,7 @@ TEST(IntegrationTest, MsongLikeDataBreaksPqButNotRabitq) {
     QuantizeLutsToU8(luts.data(), pq.num_segments(), &qluts, &scale, &bias);
     for (std::size_t i = 0; i < p.base.rows(); ++i) {
       const float truth = L2SqrDistance(p.queries.Row(q), p.base.Row(i), dim);
-      rabitq_err.Add(EstimateDistance(qq, store.View(i), 0.0f).dist_sq, truth);
+      rabitq_err.Add(EstimateDistance(qq, store, i, 0.0f).dist_sq, truth);
       std::uint32_t acc = 0;
       for (std::size_t m = 0; m < pq.num_segments(); ++m) {
         acc += qluts[m * 16 + pq_codes[i * pq.num_segments() + m]];
@@ -277,7 +276,7 @@ TEST(IntegrationTest, FhtRotatorMatchesDenseAccuracy) {
       EXPECT_TRUE(
           PrepareQuery(encoder, p.queries.Row(q), nullptr, &rng, &qq).ok());
       for (std::size_t i = 0; i < p.base.rows(); ++i) {
-        err.Add(EstimateDistance(qq, store.View(i), 0.0f).dist_sq,
+        err.Add(EstimateDistance(qq, store, i, 0.0f).dist_sq,
                 L2SqrDistance(p.queries.Row(q), p.base.Row(i), dim));
       }
     }

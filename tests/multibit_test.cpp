@@ -45,6 +45,24 @@ namespace {
 
 constexpr std::size_t kWidths[] = {2, 4, 8};
 
+// The sign plane (the 1-bit code) and the low planes (plane-major) of code
+// i, unpacked from the store's packed layout.
+std::vector<std::uint64_t> SignBits(const RabitqCodeStore& store,
+                                    std::size_t i) {
+  std::vector<std::uint64_t> bits(store.words_per_code());
+  store.UnpackPlane(i, store.bits_per_dim() - 1, bits.data());
+  return bits;
+}
+
+std::vector<std::uint64_t> ExtraPlanes(const RabitqCodeStore& store,
+                                       std::size_t i) {
+  std::vector<std::uint64_t> planes(store.extra_words_per_code());
+  for (std::size_t j = 0; j + 1 < store.bits_per_dim(); ++j) {
+    store.UnpackPlane(i, j, planes.data() + j * store.words_per_code());
+  }
+  return planes;
+}
+
 std::vector<float> RandomVec(std::size_t dim, Rng* rng, float scale = 1.0f) {
   std::vector<float> v(dim);
   for (auto& x : v) x = static_cast<float>(rng->Gaussian()) * scale;
@@ -116,7 +134,6 @@ void BuildWorkload(std::size_t dim, std::size_t n, std::size_t n_queries,
     ASSERT_TRUE(
         w->encoder.EncodeAppend(v.data(), w->centroid.data(), &w->store).ok());
   }
-  w->store.Finalize();
   w->queries.Reset(n_queries, dim);
   for (std::size_t q = 0; q < n_queries; ++q) {
     const auto v = RandomVec(dim, &rng);
@@ -144,7 +161,7 @@ TEST(MultibitTest, EncoderRejectsInvalidWidths) {
             StatusCode::kFailedPrecondition);
 }
 
-// The sign-split grid guarantee: a multi-bit code's sign plane (bits_) and
+// The sign-split grid guarantee: a multi-bit code's sign plane and
 // every 1-bit scalar riding with it are bit-identical to the 1-bit code of
 // the same vector under the same rotator, and the MSB of each
 // reconstructed level u_i IS the sign bit.
@@ -158,8 +175,11 @@ TEST(MultibitTest, SignPlaneIdenticalToOneBitCode) {
     ASSERT_EQ(multi.store.bits_per_dim(), bits);
     const std::size_t words = one.store.words_per_code();
     for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<std::uint64_t> one_bits = SignBits(one.store, i);
+      const std::vector<std::uint64_t> sign = SignBits(multi.store, i);
+      const std::vector<std::uint64_t> extra = ExtraPlanes(multi.store, i);
       for (std::size_t wd = 0; wd < words; ++wd) {
-        ASSERT_EQ(one.store.BitsAt(i)[wd], multi.store.BitsAt(i)[wd])
+        ASSERT_EQ(one_bits[wd], sign[wd])
             << "B " << bits << " code " << i << " word " << wd;
       }
       EXPECT_EQ(one.store.bit_count(i), multi.store.bit_count(i));
@@ -168,14 +188,13 @@ TEST(MultibitTest, SignPlaneIdenticalToOneBitCode) {
       // MSB-plane identity at the level granularity.
       const std::size_t b = multi.store.total_bits();
       for (std::size_t d = 0; d < b; ++d) {
-        std::uint32_t u = GetBit(multi.store.BitsAt(i), d) ? 1u : 0u;
+        std::uint32_t u = GetBit(sign.data(), d) ? 1u : 0u;
         u <<= bits - 1;
         for (std::size_t j = 0; j + 1 < bits; ++j) {
-          const std::uint64_t* plane =
-              multi.store.ExtraPlanesAt(i) + j * words;
+          const std::uint64_t* plane = extra.data() + j * words;
           if (GetBit(plane, d)) u |= 1u << j;
         }
-        EXPECT_EQ(u >> (bits - 1), GetBit(multi.store.BitsAt(i), d) ? 1u : 0u);
+        EXPECT_EQ(u >> (bits - 1), GetBit(sign.data(), d) ? 1u : 0u);
       }
     }
   }
@@ -220,11 +239,13 @@ TEST(MultibitTest, GridFactorsMatchReconstruction) {
       const float alpha = store.m_alpha(i);
       const float beta = store.m_beta(i);
       double code_sum = 0.0, norm_sq = 0.0, dot = 0.0;
+      const std::vector<std::uint64_t> sign = SignBits(store, i);
+      const std::vector<std::uint64_t> extra = ExtraPlanes(store, i);
       for (std::size_t d = 0; d < b; ++d) {
-        std::uint32_t u = GetBit(store.BitsAt(i), d) ? 1u : 0u;
+        std::uint32_t u = GetBit(sign.data(), d) ? 1u : 0u;
         u <<= bits - 1;
         for (std::size_t j = 0; j + 1 < bits; ++j) {
-          if (GetBit(store.ExtraPlanesAt(i) + j * words, d)) u |= 1u << j;
+          if (GetBit(extra.data() + j * words, d)) u |= 1u << j;
         }
         code_sum += u;
         // x-bar_d = alpha * u_d + beta, the affine form the estimator uses.
@@ -361,7 +382,7 @@ std::vector<Neighbor> SingleCodeTopK(const IvfRabitqIndex& index,
       const DistanceEstimate est =
           codes.bits_per_dim() > 1
               ? EstimateDistanceMulti(qq, codes, i, 0.0f)
-              : EstimateDistance(qq, codes.View(i), 0.0f);
+              : EstimateDistance(qq, codes, i, 0.0f);
       pool.emplace_back(est.dist_sq, ids[i]);
     }
   }
@@ -561,8 +582,10 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(b.bits_per_dim(), 4u);
     for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::vector<std::uint64_t> a_extra = ExtraPlanes(a, i);
+      const std::vector<std::uint64_t> b_extra = ExtraPlanes(b, i);
       for (std::size_t wd = 0; wd < a.extra_words_per_code(); ++wd) {
-        ASSERT_EQ(a.ExtraPlanesAt(i)[wd], b.ExtraPlanesAt(i)[wd])
+        ASSERT_EQ(a_extra[wd], b_extra[wd])
             << "list " << l << " code " << i << " word " << wd;
       }
       EXPECT_EQ(a.m_o_o(i), b.m_o_o(i));

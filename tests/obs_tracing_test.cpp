@@ -250,7 +250,7 @@ TEST_F(ObsTracingTest, HealthTelemetryMatchesOfflineReplication) {
                         .ok());
         for (std::size_t i = 0; i < ids.size(); ++i) {
           const DistanceEstimate est = EstimateDistance(
-              qq, index.list_codes(list_id).View(i), epsilon0);
+              qq, index.list_codes(list_id), i, epsilon0);
           const float exact =
               MetricDistance(metric, index.vector(ids[i]), query, index.dim());
           ++candidates;

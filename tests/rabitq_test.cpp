@@ -1,14 +1,22 @@
 // Tests for the RaBitQ encoder and code store: stored factors match their
 // definitions (<o-bar,o> = ||P^T o||_1 / sqrt(B), popcounts, residual norms),
 // reconstruction geometry, degenerate vectors, and the paper's
-// concentration facts (E[<o-bar,o>] ~= 0.8 for the sampled rotation family).
+// concentration facts (E[<o-bar,o>] ~= 0.8 for the sampled rotation family),
+// and the packed planes that are the store's only copy of the bits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/rabitq.h"
+#include "index/ivf.h"
 #include "linalg/vector_ops.h"
+#include "quant/fastscan.h"
+#include "util/bit_ops.h"
 #include "util/prng.h"
 
 namespace rabitq {
@@ -56,14 +64,15 @@ TEST_P(RabitqEncoderParamTest, StoredFactorsMatchDefinitions) {
   for (int i = 0; i < 20; ++i) {
     const auto vec = RandomVec(dim, &rng, 2.0f);
     ASSERT_TRUE(enc.EncodeAppend(vec.data(), centroid.data(), &store).ok());
-    const RabitqCodeView view = store.View(i);
+    std::vector<std::uint64_t> bits(store.words_per_code());
+    store.UnpackPlane(i, 0, bits.data());
 
     // dist_to_centroid = ||vec - centroid||.
-    EXPECT_NEAR(view.dist_to_centroid,
+    EXPECT_NEAR(store.dist_to_centroid(i),
                 std::sqrt(L2SqrDistance(vec.data(), centroid.data(), dim)),
                 1e-3f);
     // bit_count = popcount of the stored bits.
-    EXPECT_EQ(view.bit_count, PopCount(view.bits, store.words_per_code()));
+    EXPECT_EQ(store.bit_count(i), PopCount(bits.data(), store.words_per_code()));
 
     // o_o = <x-bar, P^T o> recomputed from scratch.
     std::vector<float> o(dim);
@@ -74,12 +83,12 @@ TEST_P(RabitqEncoderParamTest, StoredFactorsMatchDefinitions) {
     float manual = 0.0f;
     const float scale = 1.0f / std::sqrt(static_cast<float>(b));
     for (std::size_t j = 0; j < b; ++j) {
-      manual += (GetBit(view.bits, j) ? scale : -scale) * rotated[j];
+      manual += (GetBit(bits.data(), j) ? scale : -scale) * rotated[j];
     }
-    EXPECT_NEAR(view.o_o, manual, 1e-3f);
+    EXPECT_NEAR(store.o_o(i), manual, 1e-3f);
     // <o-bar, o> is positive and bounded by 1 (both unit vectors).
-    EXPECT_GT(view.o_o, 0.0f);
-    EXPECT_LE(view.o_o, 1.0f + 1e-4f);
+    EXPECT_GT(store.o_o(i), 0.0f);
+    EXPECT_LE(store.o_o(i), 1.0f + 1e-4f);
   }
 }
 
@@ -98,7 +107,9 @@ TEST_P(RabitqEncoderParamTest, ReconstructionHasUnitNormAndMatchesOO) {
 
   // o-bar = P x-bar is a unit vector, and <o-bar, pad(o)> == stored o_o.
   std::vector<float> o_bar(b);
-  enc.ReconstructQuantizedUnit(store.BitsAt(0), o_bar.data());
+  std::vector<std::uint64_t> bits(store.words_per_code());
+  store.UnpackPlane(0, 0, bits.data());
+  enc.ReconstructQuantizedUnit(bits.data(), o_bar.data());
   EXPECT_NEAR(Norm(o_bar.data(), b), 1.0f, 1e-3f);
 
   std::vector<float> o_padded(b, 0.0f);
@@ -163,25 +174,25 @@ TEST(RabitqEncoderTest, PaddingIncreasesOO) {
   }
 }
 
-TEST(RabitqCodeStoreTest, AppendViewRoundTrip) {
+TEST(RabitqCodeStoreTest, AppendUnpackRoundTrip) {
   RabitqCodeStore store(128);
   EXPECT_EQ(store.words_per_code(), 2u);
   std::uint64_t bits[2] = {0xDEADBEEFCAFEBABEULL, 0x0123456789ABCDEFULL};
   store.Append(bits, 3.5f, 0.82f, 61);
   ASSERT_EQ(store.size(), 1u);
-  const RabitqCodeView view = store.View(0);
-  EXPECT_EQ(view.bits[0], bits[0]);
-  EXPECT_EQ(view.bits[1], bits[1]);
-  EXPECT_FLOAT_EQ(view.dist_to_centroid, 3.5f);
-  EXPECT_FLOAT_EQ(view.o_o, 0.82f);
-  EXPECT_EQ(view.bit_count, 61u);
+  std::uint64_t unpacked[2] = {0, 0};
+  store.UnpackPlane(0, 0, unpacked);
+  EXPECT_EQ(unpacked[0], bits[0]);
+  EXPECT_EQ(unpacked[1], bits[1]);
+  EXPECT_FLOAT_EQ(store.dist_to_centroid(0), 3.5f);
+  EXPECT_FLOAT_EQ(store.o_o(0), 0.82f);
+  EXPECT_EQ(store.bit_count(0), 61u);
 }
 
-TEST(RabitqCodeStoreTest, FinalizePacksNibbles) {
+TEST(RabitqCodeStoreTest, AppendPacksNibbles) {
   RabitqCodeStore store(64);
   std::uint64_t bits = 0xFEDCBA9876543210ULL;
   store.Append(&bits, 1.0f, 0.8f, 32);
-  store.Finalize();
   ASSERT_TRUE(store.finalized());
   const FastScanCodes& packed = store.packed();
   EXPECT_EQ(packed.num_segments, 16u);
@@ -192,44 +203,105 @@ TEST(RabitqCodeStoreTest, FinalizePacksNibbles) {
   }
 }
 
-// Growing a store one code at a time through FinalizeAppend must produce
-// exactly the packed bytes of a one-shot Finalize over the same codes --
-// the invariant behind amortized-O(1) index appends.
-TEST(RabitqCodeStoreTest, FinalizeAppendMatchesFullFinalize) {
+// The packed planes are the only copy of a code's bits, written one tail
+// slot per Append. The invariant behind that: after any sequence of
+// appends, every plane's bytes are exactly what PackFastScanCodes makes of
+// the codes unpacked from it -- same block count, zero-filled tail slots.
+void ExpectPackedMatchesRepack(const RabitqCodeStore& store) {
+  const std::size_t n = store.size();
+  const std::size_t segments = store.total_bits() / 4;
+  std::vector<std::uint64_t> bits(store.words_per_code());
+  std::vector<std::uint8_t> nibbles(n * segments);
+  for (std::size_t p = 0; p < store.bits_per_dim(); ++p) {
+    for (std::size_t i = 0; i < n; ++i) {
+      store.UnpackPlane(i, p, bits.data());
+      for (std::size_t t = 0; t < segments; ++t) {
+        nibbles[i * segments + t] = GetNibble(bits.data(), t);
+      }
+    }
+    FastScanCodes repacked;
+    PackFastScanCodes(nibbles.data(), n, segments, &repacked);
+    const FastScanCodes& packed = p + 1 == store.bits_per_dim()
+                                      ? store.packed()
+                                      : store.extra_packed(p);
+    ASSERT_EQ(packed.num_vectors, n) << "plane " << p;
+    ASSERT_EQ(packed.num_blocks, repacked.num_blocks) << "plane " << p;
+    ASSERT_TRUE(std::equal(packed.packed.begin(),
+                           packed.packed.begin() +
+                               repacked.num_blocks * segments * 16,
+                           repacked.packed.begin()))
+        << "plane " << p << " of " << n << " codes";
+  }
+}
+
+TEST(RabitqCodeStoreTest, AppendedPlanesMatchRepack) {
   Rng rng(321);
   const std::size_t total_bits = 128;
-  const std::size_t words = WordsForBits(total_bits);
-  RabitqCodeStore incremental(total_bits);
-  RabitqCodeStore reference(total_bits);
-  // 71 codes: crosses two block boundaries and ends mid-block.
-  for (std::size_t i = 0; i < 71; ++i) {
-    std::uint64_t bits[2] = {rng.NextU64(), rng.NextU64()};
-    const float d = rng.UniformFloat() + 0.5f;
-    const float o_o = rng.UniformFloat() * 0.3f + 0.6f;
-    const std::uint32_t pop = static_cast<std::uint32_t>(rng.UniformInt(128));
-    incremental.Append(bits, d, o_o, pop);
-    incremental.FinalizeAppend();
-    reference.Append(bits, d, o_o, pop);
-
-    RabitqCodeStore full(total_bits);
-    for (std::size_t j = 0; j <= i; ++j) {
-      full.Append(reference.BitsAt(j), reference.dist_to_centroid(j),
-                  reference.o_o(j), reference.bit_count(j));
-    }
-    full.Finalize();
-    ASSERT_TRUE(incremental.finalized());
-    ASSERT_EQ(incremental.packed().num_blocks, full.packed().num_blocks);
-    ASSERT_EQ(incremental.packed().packed.size(), full.packed().packed.size());
-    for (std::size_t b = 0; b < incremental.packed().packed.size(); ++b) {
-      ASSERT_EQ(incremental.packed().packed[b], full.packed().packed[b])
-          << "byte " << b << " after append " << i;
+  for (const std::size_t bits_per_dim : {1u, 4u}) {
+    RabitqCodeStore store;
+    store.Init(total_bits, Metric::kL2, bits_per_dim);
+    // 71 codes: crosses two block boundaries and ends mid-block.
+    for (std::size_t i = 0; i < 71; ++i) {
+      std::uint64_t bits[2] = {rng.NextU64(), rng.NextU64()};
+      std::vector<std::uint64_t> extra(store.extra_words_per_code());
+      for (auto& w : extra) w = rng.NextU64();
+      const float d = rng.UniformFloat() + 0.5f;
+      const float o_o = rng.UniformFloat() * 0.3f + 0.6f;
+      const std::uint32_t pop = static_cast<std::uint32_t>(rng.UniformInt(128));
+      // Every fifth multi-bit code takes the all-zero low planes.
+      store.Append(bits, d, o_o, pop, 0.0f,
+                   i % 5 == 0 ? nullptr : extra.data(), 0.9f);
+      ExpectPackedMatchesRepack(store);
     }
   }
-  EXPECT_EQ(incremental.words_per_code(), words);
+}
+
+// Every code-creation path of an index -- build, Add, Update, compaction,
+// snapshot Load -- leaves each list's packed planes equal to a repack.
+TEST(RabitqCodeStoreTest, IndexPlanesMatchRepackAcrossLifecycle) {
+  for (const std::size_t bits_per_dim : {1u, 2u, 4u, 8u}) {
+    Rng rng(17 + bits_per_dim);
+    Matrix data(300, 24);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data.data()[i] = static_cast<float>(rng.Gaussian());
+    }
+    IvfConfig ivf;
+    ivf.num_lists = 6;
+    RabitqConfig rabitq;
+    rabitq.bits_per_dim = bits_per_dim;
+    IvfRabitqIndex index;
+    ASSERT_TRUE(index.Build(data, ivf, rabitq).ok());
+    const auto expect_all = [](const IvfRabitqIndex& idx) {
+      for (std::size_t l = 0; l < idx.num_lists(); ++l) {
+        ExpectPackedMatchesRepack(idx.list_codes(l));
+      }
+    };
+    expect_all(index);
+    std::vector<float> vec(24);
+    for (int i = 0; i < 45; ++i) {
+      for (auto& v : vec) v = static_cast<float>(rng.Gaussian());
+      ASSERT_TRUE(index.Add(vec.data()).ok());
+    }
+    for (std::uint32_t id = 0; id < 300; id += 4) {
+      ASSERT_TRUE(index.Delete(id).ok());
+    }
+    for (auto& v : vec) v = static_cast<float>(rng.Gaussian());
+    ASSERT_TRUE(index.Update(1, vec.data()).ok());
+    expect_all(index);
+    ASSERT_TRUE(index.Compact().ok());
+    ASSERT_EQ(index.num_tombstones(), 0u);
+    expect_all(index);
+    const std::string path = ::testing::TempDir() + "/planes_repack.rbq";
+    ASSERT_TRUE(index.Save(path).ok());
+    IvfRabitqIndex loaded;
+    ASSERT_TRUE(loaded.Load(path).ok());
+    expect_all(loaded);
+    std::remove(path.c_str());
+  }
 }
 
 // CompactInto keeps exactly the live codes, in order, and the result is
-// finalized and bit-identical to appending the survivors directly.
+// bit-identical to appending the survivors directly.
 TEST(RabitqCodeStoreTest, CompactIntoDropsDeadEntries) {
   Rng rng(99);
   const std::size_t total_bits = 64;
@@ -245,15 +317,16 @@ TEST(RabitqCodeStoreTest, CompactIntoDropsDeadEntries) {
     dead.push_back(i % 3 == 0 ? 1 : 0);
     if (i % 3 != 0) expect.Append(&bits, d, o_o, pop);
   }
-  store.Finalize();
-  expect.Finalize();
 
   RabitqCodeStore compacted;
   store.CompactInto(dead.data(), &compacted);
   ASSERT_EQ(compacted.size(), expect.size());
   ASSERT_TRUE(compacted.finalized());
   for (std::size_t i = 0; i < compacted.size(); ++i) {
-    EXPECT_EQ(compacted.BitsAt(i)[0], expect.BitsAt(i)[0]);
+    std::uint64_t got = 0, want = 0;
+    compacted.UnpackPlane(i, 0, &got);
+    expect.UnpackPlane(i, 0, &want);
+    EXPECT_EQ(got, want);
     EXPECT_FLOAT_EQ(compacted.dist_to_centroid(i), expect.dist_to_centroid(i));
     EXPECT_FLOAT_EQ(compacted.o_o(i), expect.o_o(i));
     EXPECT_EQ(compacted.bit_count(i), expect.bit_count(i));

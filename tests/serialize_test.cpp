@@ -168,8 +168,12 @@ TEST_F(IvfSerializeTest, LoadedStoreMatchesByteForByte) {
       EXPECT_FLOAT_EQ(a.o_o(i), b.o_o(i));
       EXPECT_FLOAT_EQ(a.dist_to_centroid(i), b.dist_to_centroid(i));
       EXPECT_EQ(a.bit_count(i), b.bit_count(i));
+      std::vector<std::uint64_t> a_bits(a.words_per_code());
+      std::vector<std::uint64_t> b_bits(b.words_per_code());
+      a.UnpackPlane(i, 0, a_bits.data());
+      b.UnpackPlane(i, 0, b_bits.data());
       for (std::size_t w = 0; w < a.words_per_code(); ++w) {
-        ASSERT_EQ(a.BitsAt(i)[w], b.BitsAt(i)[w]);
+        ASSERT_EQ(a_bits[w], b_bits[w]);
       }
     }
   }

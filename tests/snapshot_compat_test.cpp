@@ -6,7 +6,10 @@
 // loading -- v1/v2 as kL2, v1-v3 with bits_per_dim = 1 -- and the current
 // v5 format ("RBQIVF05", which appends a CRC-32 footer over the body) must
 // round-trip a mutated index -- tombstones, stale update entries and all --
-// with bit-identical search results. The metric byte (offset 12) and the
+// with bit-identical search results. The v5 golden file (4-bit codes,
+// tombstones and a stale update entry) pins the current format itself:
+// it re-saves byte-identically, and a fresh build from its recipe saves
+// the same bytes. The metric byte (offset 12) and the
 // rotator-kind byte (offset 40) are fuzzed explicitly: in-range values load
 // with that setting, out-of-range values fail closed before the rotator
 // rebuild. Body corruption under v5 is caught by the checksum.
@@ -33,6 +36,13 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::vector<unsigned char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<unsigned char>(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>());
 }
 
 // Mirrors the generator that produced tests/data/golden_v1.rbq: 200 x 16
@@ -162,8 +172,12 @@ TEST(SnapshotCompatTest, V3GoldenFileLoadsWithMetricAndMatchesRebuild) {
     const RabitqCodeStore& b = rebuilt.list_codes(l);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
+      std::vector<std::uint64_t> a_bits(a.words_per_code());
+      std::vector<std::uint64_t> b_bits(b.words_per_code());
+      a.UnpackPlane(i, 0, a_bits.data());
+      b.UnpackPlane(i, 0, b_bits.data());
       for (std::size_t w = 0; w < a.words_per_code(); ++w) {
-        ASSERT_EQ(a.BitsAt(i)[w], b.BitsAt(i)[w]) << "list " << l;
+        ASSERT_EQ(a_bits[w], b_bits[w]) << "list " << l;
       }
       EXPECT_EQ(a.dist_to_centroid(i), b.dist_to_centroid(i));
       EXPECT_EQ(a.o_o(i), b.o_o(i));
@@ -244,6 +258,70 @@ TEST(SnapshotCompatTest, V4GoldenFileLoadsAndSurvivesV5ReSave) {
     ExpectSameNeighbors(want[q], after[q]);
   }
   std::remove(resaved.c_str());
+}
+
+// The golden_v5.rbq recipe: the v1 generator data at bits_per_dim = 4 under
+// kL2, then deletes of ids 0, 9, 18, ... and one update of id 5 (which
+// leaves a stale tombstoned entry in its old list).
+void BuildGoldenV5Recipe(IvfRabitqIndex* index) {
+  Rng rng(123);
+  Matrix data(kGoldenN, kGoldenDim);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.data()[i] = static_cast<float>(rng.Gaussian());
+  }
+  IvfConfig ivf;
+  ivf.num_lists = kGoldenLists;
+  ivf.metric = Metric::kL2;
+  RabitqConfig rabitq;
+  rabitq.bits_per_dim = 4;
+  ASSERT_TRUE(index->Build(data, ivf, rabitq).ok());
+  for (std::uint32_t id = 0; id < kGoldenN; id += 9) {
+    ASSERT_TRUE(index->Delete(id).ok());
+  }
+  Rng update_rng(77);
+  std::vector<float> vec(kGoldenDim);
+  for (auto& v : vec) v = static_cast<float>(update_rng.Gaussian()) * 2.0f;
+  ASSERT_TRUE(index->Update(5, vec.data()).ok());
+}
+
+TEST(SnapshotCompatTest, V5GoldenReSavesByteIdenticallyAndMatchesRebuild) {
+  const std::string path =
+      std::string(RABITQ_TEST_DATA_DIR) + "/golden_v5.rbq";
+  IvfRabitqIndex golden;
+  ASSERT_TRUE(golden.Load(path).ok()) << "cannot load v5 golden " << path;
+  EXPECT_EQ(golden.size(), kGoldenN);
+  EXPECT_EQ(golden.live_size(), kGoldenN - 23);
+  EXPECT_EQ(golden.num_tombstones(), 24u);  // 23 deletes + 1 stale entry
+  EXPECT_EQ(golden.metric(), Metric::kL2);
+  EXPECT_EQ(golden.encoder().config().bits_per_dim, 4u);
+  const std::vector<unsigned char> golden_bytes = ReadFileBytes(path);
+
+  // Load + Save reproduces the file byte for byte.
+  const std::string resaved = TempPath("golden_v5_resaved.rbq");
+  ASSERT_TRUE(golden.Save(resaved).ok());
+  EXPECT_TRUE(ReadFileBytes(resaved) == golden_bytes)
+      << "re-saved v5 golden differs from the committed file";
+  std::remove(resaved.c_str());
+
+  // A fresh build of the recipe saves the same bytes and searches alike.
+  IvfRabitqIndex rebuilt;
+  BuildGoldenV5Recipe(&rebuilt);
+  const std::string fresh = TempPath("golden_v5_fresh.rbq");
+  ASSERT_TRUE(rebuilt.Save(fresh).ok());
+  EXPECT_TRUE(ReadFileBytes(fresh) == golden_bytes)
+      << "fresh v5 build saves different bytes than the committed file";
+  std::remove(fresh.c_str());
+  for (const bool batch : {true, false}) {
+    SearchOptions params;
+    params.k = 10;
+    params.nprobe = 4;
+    params.use_batch_estimator = batch;
+    const auto want = SearchAll(rebuilt, params);
+    const auto got = SearchAll(golden, params);
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      ExpectSameNeighbors(want[q], got[q]);
+    }
+  }
 }
 
 TEST(SnapshotCompatTest, V1GoldenSurvivesCurrentRoundTripBitIdentically) {
@@ -370,13 +448,6 @@ TEST(SnapshotCompatTest, HeavilyUpdatedTinyIndexRoundTrips) {
 // either error out or, when they hit non-structural payload bytes (raw
 // vector data has no checksum), load an index that still upholds its own
 // invariants and can serve a search.
-
-std::vector<unsigned char> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<unsigned char>(std::istreambuf_iterator<char>(in),
-                                    std::istreambuf_iterator<char>());
-}
 
 void WriteFileBytes(const std::string& path,
                     const std::vector<unsigned char>& bytes) {
