@@ -82,14 +82,24 @@ struct Row {
   std::string unit;  // what one op is
 };
 
+// Half-width of the confidence interval on <o,q> (Eq. 16), computed per
+// code as the old estimator did.
+inline float LegacyIpErrorBound(float o_o, float epsilon0,
+                                std::size_t total_bits) {
+  const float o_o_sq = std::max(o_o * o_o, 1e-12f);
+  return std::sqrt((1.0f - o_o_sq) / o_o_sq) * epsilon0 /
+         std::sqrt(static_cast<float>(total_bits - 1));
+}
+
 // The pre-factor-precomputation assembly of the old estimator: per code,
-// the primary factors (dist_to_centroid, o_o, bit_count) read from the
-// store, then a divide and (inside IpErrorBound) a sqrt + divide. Kept here
-// as the bench baseline.
+// the primaries (dist_to_centroid, o_o, bit_count; the store keeps only
+// their derived factors, so the fixture holds them), then a divide and
+// (inside LegacyIpErrorBound) a sqrt + divide. Kept here as the bench
+// baseline.
 inline float LegacyAssemble(const QuantizedQuery& query,
-                            const RabitqCodeStore& store, std::size_t i,
-                            std::uint32_t s, float epsilon0, float* lb_out) {
-  const float d_c = store.dist_to_centroid(i);
+                            const CodePrimaries& code, std::uint32_t s,
+                            float epsilon0, float* lb_out) {
+  const float d_c = code.dist_to_centroid;
   if (d_c == 0.0f) {
     const float d = query.q_dist * query.q_dist;
     *lb_out = d;
@@ -100,14 +110,14 @@ inline float LegacyAssemble(const QuantizedQuery& query,
     *lb_out = d;
     return d;
   }
-  const float pc = static_cast<float>(store.bit_count(i));
+  const float pc = static_cast<float>(code.bit_count);
   const float x_qbar =
       query.ip_scale * static_cast<float>(s) + query.pop_scale * pc + query.bias;
-  const float o_o = std::max(store.o_o(i), 1e-9f);
+  const float o_o = std::max(code.o_o, 1e-9f);
   const float ip = x_qbar / o_o;
   const float cross = 2.0f * d_c * query.q_dist;
   const float dist = d_c * d_c + query.q_dist * query.q_dist - cross * ip;
-  const float ip_error = IpErrorBound(o_o, epsilon0, query.total_bits);
+  const float ip_error = LegacyIpErrorBound(o_o, epsilon0, query.total_bits);
   *lb_out = dist - cross * ip_error;
   return dist;
 }
@@ -115,6 +125,7 @@ inline float LegacyAssemble(const QuantizedQuery& query,
 struct ScanFixture {
   RabitqEncoder encoder;
   RabitqCodeStore store;
+  std::vector<CodePrimaries> primaries;  // per code, for LegacyAssemble
   QuantizedQuery query;
   std::vector<std::uint32_t> sums;  // per-code fast-scan sums, precomputed
 };
@@ -133,6 +144,9 @@ void BuildScanFixture(ScanFixture* fx) {
   std::vector<float> vec(kDim);
   for (std::size_t i = 0; i < kScanCodes; ++i) {
     for (auto& v : vec) v = static_cast<float>(rng.Gaussian());
+    EncodedCode code;
+    fx->encoder.Encode(vec.data(), centroid.data(), &code);
+    fx->primaries.push_back(code.primaries);
     if (!fx->encoder.EncodeAppend(vec.data(), centroid.data(), &fx->store)
              .ok()) {
       std::fprintf(stderr, "[bench] encode failed\n");
@@ -168,7 +182,7 @@ void RunAssemblyBenches(const ScanFixture& fx, std::vector<Row>* rows,
   const double legacy_ns = NsPerOp(
       [&] {
         for (std::size_t i = 0; i < kScanCodes; ++i) {
-          est[i] = LegacyAssemble(fx.query, fx.store, i, fx.sums[i], eps0,
+          est[i] = LegacyAssemble(fx.query, fx.primaries[i], fx.sums[i], eps0,
                                   &lb[i]);
         }
         g_sink_f = g_sink_f + est[0] + lb[kScanCodes - 1];
@@ -247,8 +261,8 @@ void RunScanBenches(const ScanFixture& fx, std::vector<Row>* rows,
           const std::size_t begin = b * kFastScanBlockSize;
           for (std::size_t k = 0; k < kFastScanBlockSize; ++k) {
             est[begin + k] =
-                LegacyAssemble(fx.query, fx.store, begin + k, sums[k], eps0,
-                               &lb[begin + k]);
+                LegacyAssemble(fx.query, fx.primaries[begin + k], sums[k],
+                               eps0, &lb[begin + k]);
           }
         }
         for (std::size_t i = 0; i < kScanCodes; ++i) {

@@ -16,75 +16,56 @@ namespace rabitq {
 
 namespace {
 
-// One lane of the fused assembly, written so that every operation maps 1:1
-// onto the AVX2 kernel below (explicit std::fma <-> fmadd/fnmadd, lone
+// Every lane is assembled in two steps written so that each operation maps
+// 1:1 onto the AVX2 kernels below (explicit std::fma <-> fmadd/fnmadd, lone
 // mul/add <-> mul_ps/add_ps). The explicit fma calls are not just speed:
 // they pin the rounding sequence so the compiler cannot contract the scalar
 // path differently from the hand-written SIMD path, which is what keeps the
-// two bit-identical.
-//
-// Edge handling mirrors the kernel's blends, L2 ONLY (`l2_edges`): a
-// q_dist == 0 query overrides the whole lane with f_sq, then a
-// dist_to_centroid == 0 code wins with q_base (== q_dist^2 under kL2).
-// (For codes produced by Append the blends are actually no-ops -- d == 0
-// implies f_sq = f_cross = 0 and f_err = 0, so the arithmetic already lands
-// on the same values -- but the blends keep the contract independent of
-// those identities.) Under IP/cosine no blends are needed OR wanted: either
-// edge zeroes the cross term, and f_sq + q_base is then EXACTLY -<o,q>
-// (resp. -<c,q>), so the straight-line arithmetic is already exact.
-inline void AssembleLane(float s_f, float pc_f, float d, float f_sq,
-                         float f_cross, float f_inv_oo, float f_err,
-                         float q_dist, float q_base, float ip_scale,
-                         float pop_scale, float bias, float epsilon0,
-                         bool l2_edges, float* dist_out, float* lb_out) {
-  const float x_qbar = std::fma(ip_scale, s_f, std::fma(pop_scale, pc_f, bias));
-  const float ip = x_qbar * f_inv_oo;
-  const float cross = f_cross * q_dist;
-  const float base = f_sq + q_base;
-  float dist = std::fma(-cross, ip, base);
-  float lb = epsilon0 > 0.0f ? std::fma(-cross, f_err * epsilon0, dist) : dist;
-  if (l2_edges) {
-    if (q_dist == 0.0f) {
-      dist = f_sq;
-      lb = f_sq;
-    }
-    if (d == 0.0f) {
-      dist = q_base;
-      lb = q_base;
-    }
-  }
-  *dist_out = dist;
-  *lb_out = lb;
+// two bit-identical. The front end differs per code width: XQbar1 (the
+// 1-bit code, Eq. 20) or XQbarMulti (the B_d-bit code, from the weighted
+// plane sum S and the per-code m_alpha / m_beta affine map) gives
+// <x-bar, q-bar>, which divided by <o-bar, o> is the estimate ip of <o,q>.
+// FinishLane then turns ip into the score and its eps0 lower bound.
+inline float XQbar1(float s_f, float pc_f, const QuantizedQuery& query) {
+  return std::fma(query.ip_scale, s_f,
+                  std::fma(query.pop_scale, pc_f, query.bias));
 }
 
-// One lane of the multi-bit refine assembly (stage 2); the same 1:1
-// scalar/SIMD operation-order discipline as AssembleLane. The front end
-// differs -- <x-bar, q-bar> comes from the weighted plane sum S and the
-// per-code (m_alpha, m_beta) affine map -- but from `ip` on the arithmetic
-// is AssembleLane's, just fed the tighter m_inv_oo / m_err factors.
-inline void AssembleMultiLane(float s_f, float u_f, float d, float f_sq,
-                              float f_cross, float m_alpha, float m_beta,
-                              float m_inv_oo, float m_err, float q_dist,
-                              float q_base, float step, float lo, float kq,
-                              float epsilon0, bool l2_edges, float* dist_out,
-                              float* lb_out) {
-  const float s_mul = step * s_f;
-  const float inner = std::fma(lo, u_f, s_mul);
-  const float bk = m_beta * kq;
-  const float x_qbar = std::fma(m_alpha, inner, bk);
-  const float ip = x_qbar * m_inv_oo;
-  const float cross = f_cross * q_dist;
-  const float base = f_sq + q_base;
+inline float XQbarMulti(float s_f, float u_f, float m_alpha, float m_beta,
+                        const QuantizedQuery& query) {
+  return std::fma(m_alpha, std::fma(query.lo, u_f, query.step * s_f),
+                  m_beta * query.kq);
+}
+
+// The score base + cross * ip and its lower bound from the lane's error
+// factor `err` (f_err, or m_err for the multi-bit refine).
+//
+// Edge handling mirrors the kernels' blends, L2 ONLY: a q_dist == 0 query
+// overrides the whole lane with f_sq, then a zero-residual code wins with
+// q_base (== q_dist^2 under kL2). The code edge keys on f_cross == 0: under
+// kL2 f_cross = 2d with d >= 0, which is 0 exactly when d is (a NaN d fails
+// both tests alike). (For encoded codes the blends are actually no-ops --
+// d == 0 implies f_sq = f_cross = 0 and f_err = 0, so the arithmetic
+// already lands on the same values -- but the blends keep the contract
+// independent of those identities.) Under IP/cosine no blends are needed
+// OR wanted: either edge zeroes the cross term, and f_sq + q_base is then
+// EXACTLY -<o,q> (resp. -<c,q>), so the straight-line arithmetic is
+// already exact.
+inline void FinishLane(float ip, float f_sq, float f_cross, float err,
+                       const QuantizedQuery& query, float epsilon0,
+                       float* dist_out, float* lb_out) {
+  const float cross = f_cross * query.q_dist;
+  const float base = f_sq + query.q_base;
   float dist = std::fma(-cross, ip, base);
-  float lb = epsilon0 > 0.0f ? std::fma(-cross, m_err * epsilon0, dist) : dist;
-  if (l2_edges) {
-    if (q_dist == 0.0f) {
+  float lb = epsilon0 > 0.0f ? std::fma(-cross, err * epsilon0, dist) : dist;
+  if (query.metric == Metric::kL2) {
+    if (query.q_dist == 0.0f) {
       dist = f_sq;
       lb = f_sq;
     }
-    if (d == 0.0f) {
-      dist = q_base;
-      lb = q_base;
+    if (f_cross == 0.0f) {
+      dist = query.q_base;
+      lb = query.q_base;
     }
   }
   *dist_out = dist;
@@ -101,7 +82,6 @@ inline std::uint32_t MultiBlockScalar(const QuantizedQuery& query,
                                       float prune_threshold,
                                       std::uint32_t candidate_mask,
                                       float* dist_sq, float* lower_bounds) {
-  const float* d_arr = store.dist_to_centroid_data() + begin;
   const float* f_sq = store.f_sq_data() + begin;
   const float* f_cross = store.f_cross_data() + begin;
   const float* m_alpha = store.m_alpha_data() + begin;
@@ -109,27 +89,72 @@ inline std::uint32_t MultiBlockScalar(const QuantizedQuery& query,
   const float* m_inv = store.m_inv_oo_data() + begin;
   const float* m_err = store.m_err_data() + begin;
   const float* u_sum = store.m_code_sum_data() + begin;
-  const bool l2_edges = query.metric == Metric::kL2;
   std::uint32_t mask = 0;
   for (std::size_t k = 0; k < count; ++k) {
     if (((candidate_mask >> k) & 1u) == 0) continue;
-    float dist = 0.0f, lb = 0.0f;
-    AssembleMultiLane(static_cast<float>(multi_sums[k]), u_sum[k], d_arr[k],
-                      f_sq[k], f_cross[k], m_alpha[k], m_beta[k], m_inv[k],
-                      m_err[k], query.q_dist, query.q_base, query.step,
-                      query.lo, query.kq, epsilon0, l2_edges, &dist, &lb);
-    dist_sq[k] = dist;
-    lower_bounds[k] = lb;
-    mask |= static_cast<std::uint32_t>(!(lb > prune_threshold)) << k;
+    const float x_qbar = XQbarMulti(static_cast<float>(multi_sums[k]),
+                                    u_sum[k], m_alpha[k], m_beta[k], query);
+    FinishLane(x_qbar * m_inv[k], f_sq[k], f_cross[k], m_err[k], query,
+               epsilon0, &dist_sq[k], &lower_bounds[k]);
+    mask |= static_cast<std::uint32_t>(!(lower_bounds[k] > prune_threshold))
+            << k;
   }
   return mask;
 }
 
 #if defined(__AVX2__) && defined(__FMA__)
 
-// Full-block multi-bit refine: 8-lane groups in AssembleMultiLane's exact
-// order; groups with no candidate lanes are skipped (their outputs stay
-// unspecified, per the header contract).
+// FinishLane over 8 lanes, for both AVX2 kernels: the per-query constants
+// broadcast once, then Finish per 8-lane group.
+struct FinishLanesAvx2 {
+  FinishLanesAvx2(const QuantizedQuery& query, float epsilon0,
+                  float prune_threshold)
+      : q_dist(_mm256_set1_ps(query.q_dist)),
+        q_base(_mm256_set1_ps(query.q_base)),
+        eps(_mm256_set1_ps(epsilon0)),
+        thr(_mm256_set1_ps(prune_threshold)),
+        has_bound(epsilon0 > 0.0f),
+        l2_edges(query.metric == Metric::kL2),
+        q_zero(l2_edges && query.q_dist == 0.0f) {}
+
+  // Stores the 8 lanes' scores (and lower bounds unless `lb_out` is null)
+  // and returns their survivors bits: lb not above the threshold.
+  std::uint32_t Finish(__m256 ip, const float* f_sq, const float* f_cross,
+                       const float* err, float* dist_out,
+                       float* lb_out) const {
+    const __m256 vf_sq = _mm256_loadu_ps(f_sq);
+    const __m256 vf_cross = _mm256_loadu_ps(f_cross);
+    const __m256 cross = _mm256_mul_ps(vf_cross, q_dist);
+    const __m256 base = _mm256_add_ps(vf_sq, q_base);
+    __m256 dist = _mm256_fnmadd_ps(cross, ip, base);
+    __m256 lb = dist;
+    if (has_bound) {
+      lb = _mm256_fnmadd_ps(cross, _mm256_mul_ps(_mm256_loadu_ps(err), eps),
+                            dist);
+    }
+    if (q_zero) {
+      dist = vf_sq;
+      lb = vf_sq;
+    }
+    if (l2_edges) {
+      const __m256 edge =
+          _mm256_cmp_ps(vf_cross, _mm256_setzero_ps(), _CMP_EQ_OQ);
+      dist = _mm256_blendv_ps(dist, q_base, edge);
+      lb = _mm256_blendv_ps(lb, q_base, edge);
+    }
+    _mm256_storeu_ps(dist_out, dist);
+    if (lb_out != nullptr) _mm256_storeu_ps(lb_out, lb);
+    const int pruned = _mm256_movemask_ps(_mm256_cmp_ps(lb, thr, _CMP_GT_OQ));
+    return static_cast<std::uint32_t>(~pruned) & 0xFFu;
+  }
+
+  __m256 q_dist, q_base, eps, thr;
+  bool has_bound, l2_edges, q_zero;
+};
+
+// Full-block multi-bit refine: 8-lane groups in XQbarMulti + FinishLane's
+// exact order; groups with no candidate lanes are skipped (their outputs
+// stay unspecified, per the header contract).
 inline std::uint32_t MultiBlockAvx2(const QuantizedQuery& query,
                                     const RabitqCodeStore& store,
                                     std::size_t begin,
@@ -137,64 +162,31 @@ inline std::uint32_t MultiBlockAvx2(const QuantizedQuery& query,
                                     float epsilon0, float prune_threshold,
                                     std::uint32_t candidate_mask,
                                     float* dist_sq, float* lower_bounds) {
-  const float* d_arr = store.dist_to_centroid_data() + begin;
-  const float* f_sq = store.f_sq_data() + begin;
-  const float* f_cross = store.f_cross_data() + begin;
   const float* m_alpha = store.m_alpha_data() + begin;
   const float* m_beta = store.m_beta_data() + begin;
   const float* m_inv = store.m_inv_oo_data() + begin;
-  const float* m_err = store.m_err_data() + begin;
   const float* u_sum = store.m_code_sum_data() + begin;
-  const float q_dist = query.q_dist;
   const __m256 v_step = _mm256_set1_ps(query.step);
   const __m256 v_lo = _mm256_set1_ps(query.lo);
   const __m256 v_kq = _mm256_set1_ps(query.kq);
-  const __m256 v_q_dist = _mm256_set1_ps(q_dist);
-  const __m256 v_q_base = _mm256_set1_ps(query.q_base);
-  const __m256 v_eps = _mm256_set1_ps(epsilon0);
-  const __m256 v_thr = _mm256_set1_ps(prune_threshold);
-  const __m256 v_zero = _mm256_setzero_ps();
-  const bool has_bound = epsilon0 > 0.0f;
-  const bool l2_edges = query.metric == Metric::kL2;
-  const bool q_zero = l2_edges && q_dist == 0.0f;
+  const FinishLanesAvx2 tail(query, epsilon0, prune_threshold);
   std::uint32_t mask = 0;
-  for (int g = 0; g < 4; ++g) {
-    const std::size_t off = static_cast<std::size_t>(g) * 8;
+  for (std::size_t off = 0; off < kFastScanBlockSize; off += 8) {
     if (((candidate_mask >> off) & 0xFFu) == 0) continue;
     const __m256 s_f = _mm256_cvtepi32_ps(_mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(multi_sums + off)));
-    const __m256 u_f = _mm256_loadu_ps(u_sum + off);
     const __m256 s_mul = _mm256_mul_ps(v_step, s_f);
-    const __m256 inner = _mm256_fmadd_ps(v_lo, u_f, s_mul);
+    const __m256 inner =
+        _mm256_fmadd_ps(v_lo, _mm256_loadu_ps(u_sum + off), s_mul);
     const __m256 bk = _mm256_mul_ps(_mm256_loadu_ps(m_beta + off), v_kq);
     const __m256 x_qbar =
         _mm256_fmadd_ps(_mm256_loadu_ps(m_alpha + off), inner, bk);
     const __m256 ip = _mm256_mul_ps(x_qbar, _mm256_loadu_ps(m_inv + off));
-    const __m256 cross =
-        _mm256_mul_ps(_mm256_loadu_ps(f_cross + off), v_q_dist);
-    const __m256 vf_sq = _mm256_loadu_ps(f_sq + off);
-    const __m256 base = _mm256_add_ps(vf_sq, v_q_base);
-    __m256 dist = _mm256_fnmadd_ps(cross, ip, base);
-    __m256 lb = dist;
-    if (has_bound) {
-      lb = _mm256_fnmadd_ps(
-          cross, _mm256_mul_ps(_mm256_loadu_ps(m_err + off), v_eps), dist);
-    }
-    if (q_zero) {
-      dist = vf_sq;
-      lb = vf_sq;
-    }
-    if (l2_edges) {
-      const __m256 edge_d =
-          _mm256_cmp_ps(_mm256_loadu_ps(d_arr + off), v_zero, _CMP_EQ_OQ);
-      dist = _mm256_blendv_ps(dist, v_q_base, edge_d);
-      lb = _mm256_blendv_ps(lb, v_q_base, edge_d);
-    }
-    _mm256_storeu_ps(dist_sq + off, dist);
-    _mm256_storeu_ps(lower_bounds + off, lb);
-    const int pruned =
-        _mm256_movemask_ps(_mm256_cmp_ps(lb, v_thr, _CMP_GT_OQ));
-    mask |= (static_cast<std::uint32_t>(~pruned) & 0xFFu) << off;
+    mask |= tail.Finish(ip, store.f_sq_data() + begin + off,
+                        store.f_cross_data() + begin + off,
+                        store.m_err_data() + begin + off, dist_sq + off,
+                        lower_bounds + off)
+            << off;
   }
   return mask & candidate_mask;
 }
@@ -228,21 +220,18 @@ inline std::uint32_t FusedBlockScalar(const QuantizedQuery& query,
                                       std::size_t count, float epsilon0,
                                       float prune_threshold, float* dist_sq,
                                       float* lower_bounds) {
-  const float* d_arr = store.dist_to_centroid_data() + begin;
   const float* f_sq = store.f_sq_data() + begin;
   const float* f_cross = store.f_cross_data() + begin;
   const float* f_inv = store.f_inv_oo_data() + begin;
   const float* f_err = store.f_err_data() + begin;
   const std::uint32_t* pc = store.bit_count_data() + begin;
-  const bool l2_edges = query.metric == Metric::kL2;
   std::uint32_t mask = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    float dist = 0.0f, lb = 0.0f;
-    AssembleLane(static_cast<float>(sums[k]), static_cast<float>(pc[k]),
-                 d_arr[k], f_sq[k], f_cross[k], f_inv[k], f_err[k],
-                 query.q_dist, query.q_base, query.ip_scale, query.pop_scale,
-                 query.bias, epsilon0, l2_edges, &dist, &lb);
-    dist_sq[k] = dist;
+    const float x_qbar =
+        XQbar1(static_cast<float>(sums[k]), static_cast<float>(pc[k]), query);
+    float lb = 0.0f;
+    FinishLane(x_qbar * f_inv[k], f_sq[k], f_cross[k], f_err[k], query,
+               epsilon0, &dist_sq[k], &lb);
     if (lower_bounds != nullptr) lower_bounds[k] = lb;
     // Survive unless lb > threshold -- the same strict comparison (and the
     // same NaN-survives semantics) as the SIMD _CMP_GT_OQ path.
@@ -254,36 +243,22 @@ inline std::uint32_t FusedBlockScalar(const QuantizedQuery& query,
 #if defined(__AVX2__) && defined(__FMA__)
 
 // Full-block (32-lane) fused assembly. Per 8-lane group: two int->float
-// converts, six loads, then fmadd/mul/add/fnmadd in exactly AssembleLane's
-// order. Returns the raw lb-vs-threshold survivors mask.
+// converts, then fmadd/mul in exactly XQbar1's order and FinishLane's
+// tail. Returns the raw lb-vs-threshold survivors mask.
 inline std::uint32_t FusedBlockAvx2(const QuantizedQuery& query,
                                     const RabitqCodeStore& store,
                                     std::size_t begin,
                                     const std::uint32_t* sums, float epsilon0,
                                     float prune_threshold, float* dist_sq,
                                     float* lower_bounds) {
-  const float* d_arr = store.dist_to_centroid_data() + begin;
-  const float* f_sq = store.f_sq_data() + begin;
-  const float* f_cross = store.f_cross_data() + begin;
   const float* f_inv = store.f_inv_oo_data() + begin;
-  const float* f_err = store.f_err_data() + begin;
   const std::uint32_t* pc = store.bit_count_data() + begin;
-  const float q_dist = query.q_dist;
   const __m256 v_ip_scale = _mm256_set1_ps(query.ip_scale);
   const __m256 v_pop_scale = _mm256_set1_ps(query.pop_scale);
   const __m256 v_bias = _mm256_set1_ps(query.bias);
-  const __m256 v_q_dist = _mm256_set1_ps(q_dist);
-  const __m256 v_q_base = _mm256_set1_ps(query.q_base);
-  const __m256 v_eps = _mm256_set1_ps(epsilon0);
-  const __m256 v_thr = _mm256_set1_ps(prune_threshold);
-  const __m256 v_zero = _mm256_setzero_ps();
-  const bool has_bound = epsilon0 > 0.0f;
-  // The exact-edge blends are L2-only (see AssembleLane).
-  const bool l2_edges = query.metric == Metric::kL2;
-  const bool q_zero = l2_edges && q_dist == 0.0f;
+  const FinishLanesAvx2 tail(query, epsilon0, prune_threshold);
   std::uint32_t mask = 0;
-  for (int g = 0; g < 4; ++g) {
-    const std::size_t off = static_cast<std::size_t>(g) * 8;
+  for (std::size_t off = 0; off < kFastScanBlockSize; off += 8) {
     const __m256 s_f = _mm256_cvtepi32_ps(_mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(sums + off)));
     const __m256 pc_f = _mm256_cvtepi32_ps(_mm256_loadu_si256(
@@ -291,31 +266,11 @@ inline std::uint32_t FusedBlockAvx2(const QuantizedQuery& query,
     const __m256 x_qbar = _mm256_fmadd_ps(
         v_ip_scale, s_f, _mm256_fmadd_ps(v_pop_scale, pc_f, v_bias));
     const __m256 ip = _mm256_mul_ps(x_qbar, _mm256_loadu_ps(f_inv + off));
-    const __m256 cross =
-        _mm256_mul_ps(_mm256_loadu_ps(f_cross + off), v_q_dist);
-    const __m256 vf_sq = _mm256_loadu_ps(f_sq + off);
-    const __m256 base = _mm256_add_ps(vf_sq, v_q_base);
-    __m256 dist = _mm256_fnmadd_ps(cross, ip, base);
-    __m256 lb = dist;
-    if (has_bound) {
-      lb = _mm256_fnmadd_ps(
-          cross, _mm256_mul_ps(_mm256_loadu_ps(f_err + off), v_eps), dist);
-    }
-    if (q_zero) {
-      dist = vf_sq;
-      lb = vf_sq;
-    }
-    if (l2_edges) {
-      const __m256 edge_d =
-          _mm256_cmp_ps(_mm256_loadu_ps(d_arr + off), v_zero, _CMP_EQ_OQ);
-      dist = _mm256_blendv_ps(dist, v_q_base, edge_d);
-      lb = _mm256_blendv_ps(lb, v_q_base, edge_d);
-    }
-    _mm256_storeu_ps(dist_sq + off, dist);
-    if (lower_bounds != nullptr) _mm256_storeu_ps(lower_bounds + off, lb);
-    const int pruned =
-        _mm256_movemask_ps(_mm256_cmp_ps(lb, v_thr, _CMP_GT_OQ));
-    mask |= (static_cast<std::uint32_t>(~pruned) & 0xFFu) << off;
+    mask |= tail.Finish(ip, store.f_sq_data() + begin + off,
+                        store.f_cross_data() + begin + off,
+                        store.f_err_data() + begin + off, dist_sq + off,
+                        lower_bounds == nullptr ? nullptr : lower_bounds + off)
+            << off;
   }
   return mask;
 }
@@ -344,45 +299,34 @@ inline std::uint32_t FusedBlockDispatch(const QuantizedQuery& query,
 }
 
 // Single-code 1-bit estimate of code `i`: B_q bitwise passes (Eq. 22) over
-// its unpacked sign plane, then the block kernels' own AssembleLane, so
-// this path is bit-identical to the fused ones by construction. Adds the
-// ip / ip_error outputs the block kernels do not carry (ip = 1, ip_error =
-// 0 at the two L2 edges). `f_inv_oo` = 1 skips Thm 3.2's division by
-// <o-bar, o>: the biased ablation of Appendix F.2, which keeps <o-bar, q>
-// as its estimate.
+// its unpacked sign plane, then the block kernels' own XQbar1 and
+// FinishLane, so this path is bit-identical to the fused ones by
+// construction. Adds the ip / ip_error outputs the block kernels do not
+// carry (ip = 1, ip_error = 0 at the two L2 edges). `f_inv_oo` = 1 skips
+// Thm 3.2's division by <o-bar, o>: the biased ablation of Appendix F.2,
+// which keeps <o-bar, q> as its estimate.
 DistanceEstimate EstimateSingle(const QuantizedQuery& query,
                                 const RabitqCodeStore& store, std::size_t i,
                                 float f_inv_oo, float epsilon0) {
   std::vector<std::uint64_t> bits(store.words_per_code());
   store.UnpackPlane(i, store.bits_per_dim() - 1, bits.data());
-  const float s_f = static_cast<float>(BitwiseDotQuery(query, bits.data()));
-  const float pc_f = static_cast<float>(store.bit_count(i));
-  const float d = store.dist_to_centroid(i);
-  const float f_err = store.f_err_data()[i];
-  const bool l2_edges = query.metric == Metric::kL2;
+  const CodeFactors f = store.factors(i);
   DistanceEstimate est;
-  AssembleLane(s_f, pc_f, d, store.f_sq_data()[i], store.f_cross_data()[i],
-               f_inv_oo, f_err, query.q_dist, query.q_base, query.ip_scale,
-               query.pop_scale, query.bias, epsilon0, l2_edges, &est.dist_sq,
-               &est.lower_bound_sq);
-  if (l2_edges && (d == 0.0f || query.q_dist == 0.0f)) {
+  est.ip = XQbar1(static_cast<float>(BitwiseDotQuery(query, bits.data())),
+                  static_cast<float>(f.bit_count), query) *
+           f_inv_oo;
+  FinishLane(est.ip, f.f_sq, f.f_cross, f.f_err, query, epsilon0,
+             &est.dist_sq, &est.lower_bound_sq);
+  if (query.metric == Metric::kL2 &&
+      (f.f_cross == 0.0f || query.q_dist == 0.0f)) {
     est.ip = 1.0f;
     return est;
   }
-  est.ip = std::fma(query.ip_scale, s_f,
-                    std::fma(query.pop_scale, pc_f, query.bias)) *
-           f_inv_oo;
-  est.ip_error = epsilon0 > 0.0f ? f_err * epsilon0 : 0.0f;
+  est.ip_error = epsilon0 > 0.0f ? f.f_err * epsilon0 : 0.0f;
   return est;
 }
 
 }  // namespace
-
-float IpErrorBound(float o_o, float epsilon0, std::size_t total_bits) {
-  const float o_o_sq = std::max(o_o * o_o, 1e-12f);
-  return std::sqrt((1.0f - o_o_sq) / o_o_sq) * epsilon0 /
-         std::sqrt(static_cast<float>(total_bits - 1));
-}
 
 std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
                               const std::uint64_t* code_bits) {
@@ -449,24 +393,16 @@ DistanceEstimate EstimateDistanceMulti(const QuantizedQuery& query,
                                        const RabitqCodeStore& store,
                                        std::size_t i, float epsilon0) {
   const std::uint32_t s = BitwiseDotQueryMulti(query, store, i);
+  const CodeFactors f = store.factors(i);
   DistanceEstimate est;
-  // Shares AssembleMultiLane with the block kernels, so the single-code
-  // path is bit-identical to the fused ones by construction.
-  AssembleMultiLane(static_cast<float>(s), store.m_code_sum(i),
-                    store.dist_to_centroid(i), store.f_sq_data()[i],
-                    store.f_cross_data()[i], store.m_alpha(i),
-                    store.m_beta(i), store.m_inv_oo_data()[i],
-                    store.m_err_data()[i], query.q_dist, query.q_base,
-                    query.step, query.lo, query.kq, epsilon0,
-                    query.metric == Metric::kL2, &est.dist_sq,
-                    &est.lower_bound_sq);
-  const float x_qbar =
-      std::fma(store.m_alpha(i),
-               std::fma(query.lo, store.m_code_sum(i),
-                        query.step * static_cast<float>(s)),
-               store.m_beta(i) * query.kq);
-  est.ip = x_qbar * store.m_inv_oo_data()[i];
-  est.ip_error = epsilon0 > 0.0f ? store.m_err_data()[i] * epsilon0 : 0.0f;
+  // Shares XQbarMulti and FinishLane with the block kernels, so the
+  // single-code path is bit-identical to the fused ones by construction.
+  est.ip = XQbarMulti(static_cast<float>(s), f.m_code_sum, f.m_alpha,
+                      f.m_beta, query) *
+           f.m_inv_oo;
+  FinishLane(est.ip, f.f_sq, f.f_cross, f.m_err, query, epsilon0,
+             &est.dist_sq, &est.lower_bound_sq);
+  est.ip_error = epsilon0 > 0.0f ? f.m_err * epsilon0 : 0.0f;
   return est;
 }
 
@@ -556,7 +492,6 @@ void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block) {
   __builtin_prefetch(store.f_inv_oo_data() + begin, 0, 3);
   __builtin_prefetch(store.f_err_data() + begin, 0, 3);
   __builtin_prefetch(store.bit_count_data() + begin, 0, 3);
-  __builtin_prefetch(store.dist_to_centroid_data() + begin, 0, 3);
 #else
   (void)store;
   (void)block;

@@ -7,12 +7,13 @@
 // est<o,q> is recovered first, L2 derived from it -- so the same kernels
 // serve every metric: the "distance" they assemble is a generic ascending
 // score, base + cross * est<o,q>, whose ingredients (base, the f_sq /
-// f_cross factors) were baked per-metric at append/preprocess time (see
-// rabitq.h and QuantizedQuery::q_base). Under kL2 the score is the squared
+// f_cross factors) were baked per-metric at encode/preprocess time (see
+// DeriveFactors in rabitq.h and QuantizedQuery::q_base). Under kL2 the score is the squared
 // distance of Eq. 2; under kInnerProduct/kCosine it is the negated inner
 // product -<o_r, q_r>, with the halved f_cross doubling as the IP-analogue
-// error half-width. The two exact edge blends (q_dist == 0, d == 0) are
-// L2-only and gated on query.metric identically in every path.
+// error half-width. The two exact edge blends (q_dist == 0, and a
+// zero-residual code, read as f_cross == 0 since f_cross = 2d under kL2)
+// are L2-only and gated on query.metric identically in every path.
 // Two ways to compute the integer <x_b, q-bar_u> -- B_q bitwise and+popcount
 // passes (Eq. 22), or the fast-scan LUT kernel (Section 3.3.2, lossless
 // only when query.has_exact_luts, i.e. B_q <= 6) -- and one assembly:
@@ -26,10 +27,11 @@
 //     a bit-exact *Scalar reference.
 // EstimateAll runs the block path over a whole store.
 //
-// The assembly consumes the factors precomputed at append time by
-// RabitqCodeStore (f_sq, f_cross, f_inv_oo, f_err), so per lane it is four
-// loads, two int->float converts and six mul/add/fma -- no sqrt, no divide,
-// no branch. Every path (single-code, fused scalar, fused AVX2) performs the
+// The kernels read only the store's packed planes and its resident
+// factors: bit_count, f_sq, f_cross, f_inv_oo and f_err for the 1-bit
+// lane, plus m_code_sum, m_alpha, m_beta, m_inv_oo and m_err for the
+// multi-bit refine. Per 1-bit lane that is five loads, two int->float
+// converts and six mul/add/fma -- no sqrt, no divide, no branch. Every path (single-code, fused scalar, fused AVX2) performs the
 // SAME operations in the SAME order per lane (explicit std::fma mirroring
 // the SIMD fmadd/fnmadd), which is what makes the bitwise path, the scalar
 // reference and the 8-wide kernel agree bit-for-bit (tested).
@@ -53,9 +55,6 @@ struct DistanceEstimate {
   float lower_bound_sq = 0.0f; // dist_sq lower bound at confidence eps0
   float ip_error = 0.0f;       // half-width of the <o,q> confidence interval
 };
-
-/// Half-width of the confidence interval on <o,q> (Eq. 16).
-float IpErrorBound(float o_o, float epsilon0, std::size_t total_bits);
 
 /// <x_b, q-bar_u> via B_q bitwise-and + popcount passes (Eq. 22).
 std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,

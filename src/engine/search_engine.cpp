@@ -143,15 +143,17 @@ void SearchEngine::ExecuteBatch(std::vector<QueuedQuery>* batch) {
     std::copy_n(queued[i].query.data(), d, gather_buf_.Row(i));
   }
   // Cosine normalizes where it rotates (the index contract for pre-rotated
-  // queries). A zero-norm query fails per-query, not per-batch: its gather
-  // row rotates to zeros harmlessly and its cells are skipped below.
+  // queries). A query with a non-finite coordinate, or a zero-norm one
+  // under cosine, fails per-query, not per-batch: its gather row rotates
+  // to garbage (or zeros) that only its own cells would read, and those
+  // cells are skipped below.
   std::vector<Status> query_status(n, Status::Ok());
-  if (metric_ == Metric::kCosine) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (NormalizeInPlace(gather_buf_.Row(i), d) == 0.0f) {
-        query_status[i] =
-            Status::InvalidArgument("zero-norm query under cosine metric");
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    query_status[i] = CheckFinite(gather_buf_.Row(i), d);
+    if (query_status[i].ok() && metric_ == Metric::kCosine &&
+        NormalizeInPlace(gather_buf_.Row(i), d) == 0.0f) {
+      query_status[i] =
+          Status::InvalidArgument("zero-norm query under cosine metric");
     }
   }
   index_.encoder().rotator().InverseRotateBatch(gather_buf_, &rotated_buf_);

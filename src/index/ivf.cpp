@@ -92,10 +92,20 @@ Status NormalizeForCosine(const float* vec, std::size_t dim,
 
 }  // namespace
 
+Status CheckFinite(const float* vec, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(vec[i])) {
+      return Status::InvalidArgument("non-finite vector coordinate");
+    }
+  }
+  return Status::Ok();
+}
+
 Status IvfRabitqIndex::Build(const Matrix& data, const IvfConfig& ivf_config,
                              const RabitqConfig& rabitq_config) {
   if (data.rows() == 0) return Status::InvalidArgument("empty dataset");
   RABITQ_RETURN_IF_ERROR(ValidateMetric(ivf_config.metric));
+  RABITQ_RETURN_IF_ERROR(CheckFinite(data.data(), data.size()));
   // kCosine normalizes the dataset BEFORE clustering so the centroids live
   // in the same unit-sphere space as the stored vectors (cosine over the
   // normalized copies IS inner product); a zero-norm row fails the build.
@@ -126,6 +136,7 @@ Status IvfRabitqIndex::BuildFromClustering(const Matrix& data, Matrix centroids,
                                            Metric metric) {
   if (data.rows() == 0) return Status::InvalidArgument("empty dataset");
   RABITQ_RETURN_IF_ERROR(ValidateMetric(metric));
+  RABITQ_RETURN_IF_ERROR(CheckFinite(data.data(), data.size()));
   metric_ = metric;
   if (centroids.rows() == 0 || centroids.cols() != data.cols()) {
     return Status::InvalidArgument("bad centroid matrix");
@@ -267,6 +278,7 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
   }
   if (query == nullptr) return Status::InvalidArgument("null query");
   if (params.k == 0) return Status::InvalidArgument("k must be positive");
+  RABITQ_RETURN_IF_ERROR(CheckFinite(query, dim()));
   // kCosine: normalize the query WHERE it gets rotated (the contract of
   // SearchWithScratch): a caller passing a precomputed rotation guarantees
   // `query` is already unit-normalized, so normalizing again here would
@@ -566,6 +578,7 @@ Status IvfRabitqIndex::AppendToNearestList(std::uint32_t id,
 Status IvfRabitqIndex::Add(const float* vec, std::uint32_t* id_out) {
   if (vec == nullptr) return Status::InvalidArgument("null vector");
   if (lists_.empty()) return Status::FailedPrecondition("index not built");
+  RABITQ_RETURN_IF_ERROR(CheckFinite(vec, dim()));
   // kCosine stores the normalized vector (same as Build), so re-rank and
   // the estimator see unit data no matter how the vector arrived.
   std::vector<float> normalized;
@@ -603,6 +616,7 @@ Status IvfRabitqIndex::Update(std::uint32_t id, const float* vec) {
   if (vec == nullptr) return Status::InvalidArgument("null vector");
   if (lists_.empty()) return Status::FailedPrecondition("index not built");
   if (IsDeleted(id)) return Status::NotFound("id not live");
+  RABITQ_RETURN_IF_ERROR(CheckFinite(vec, dim()));
   // Normalize FIRST (and fail closed) so a zero-norm update under cosine
   // leaves the index untouched rather than half-tombstoned.
   std::vector<float> normalized;

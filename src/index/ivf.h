@@ -53,6 +53,11 @@ struct IvfConfig {
   Metric metric = Metric::kL2;
 };
 
+/// InvalidArgument if any of the `n` coordinates of `vec` is NaN or +/-inf:
+/// such a vector would poison every score it touches, so every ingest and
+/// query path rejects it up front. Finite values of any magnitude pass.
+Status CheckFinite(const float* vec, std::size_t n);
+
 /// Reusable workspace for SearchWithScratch. Buffers reach steady-state
 /// capacity after the first few queries, after which searches stop touching
 /// the allocator -- the serving engine keeps one scratch per worker thread.
@@ -259,28 +264,22 @@ class IvfRabitqIndex {
   /// ListsNeedingCompaction(min_ratio, min_dead). Requires exclusive access.
   Status Compact(float min_ratio = 0.0f, std::size_t min_dead = 1);
 
-  /// Serializes the full index (raw vectors, centroids, codes, tombstones,
-  /// per-code norms, the metric, bits_per_dim and -- for multi-bit stores --
-  /// the extra code planes and their scale factors) in snapshot format v5
-  /// ("RBQIVF05"): everything after the header is covered by a CRC-32
-  /// footer. The write is crash-safe -- the blob goes to `<path>.tmp` and is
-  /// renamed over `path` only after a clean close, so a crash mid-save
-  /// leaves the previous snapshot intact. The rotation matrix itself is NOT
-  /// stored: rotators are deterministic in (dim, bits, kind, seed), so Load
-  /// re-derives it from the saved config -- the same trick the paper uses
-  /// to never materialize the codebook.
+  /// Serializes the full index -- config (metric, bits_per_dim), raw
+  /// vectors, centroids, per-list ids, tombstones and code stores -- in
+  /// snapshot format v6 ("RBQIVF06", see ivf_serialize.cpp), with a CRC-32
+  /// footer over everything after the header. The write is crash-safe: the
+  /// blob goes to `<path>.tmp` and is renamed over `path` only after a
+  /// clean close. The rotation matrix itself is NOT stored: rotators are
+  /// deterministic in (dim, bits, kind, seed), so Load re-derives it -- the
+  /// same trick the paper uses to never materialize the codebook.
   Status Save(const std::string& path) const;
 
-  /// Restores an index written by Save into `*this`. Reads the current v5
-  /// format (body verified against its CRC-32 footer; any mismatch fails
-  /// closed with an IoError) plus the legacy v4 ("RBQIVF04", no checksum),
-  /// v3 ("RBQIVF03", no bits_per_dim / multi-bit payload), v2 ("RBQIVF02",
-  /// additionally no metric/norms) and v1 ("RBQIVF01", additionally no
-  /// tombstones) formats; v1-v3 snapshots load with bits_per_dim = 1, and
-  /// v1/v2 as Metric::kL2 -- the only choices that existed when they were
-  /// written. Metric, rotator kind and bits_per_dim bytes are validated
-  /// BEFORE the O(B^3) rotator rebuild so corrupt values fail closed
-  /// cheaply.
+  /// Restores an index written by Save into `*this`: the current v6 format
+  /// or a legacy v1-v5 one (ivf_serialize.cpp lists what each lacks; v1-v3
+  /// load with bits_per_dim = 1, v1/v2 as Metric::kL2). A checksum mismatch
+  /// fails closed with an IoError, and the metric, rotator kind and
+  /// bits_per_dim are validated BEFORE the O(B^3) rotator rebuild so
+  /// corrupt values fail closed cheaply.
   Status Load(const std::string& path);
 
  private:

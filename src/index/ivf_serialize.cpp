@@ -1,37 +1,33 @@
-// Save/Load for IvfRabitqIndex. Snapshot format v5 ("RBQIVF05") stores the
+// Save/Load for IvfRabitqIndex. Snapshot format v6 ("RBQIVF06") stores the
 // metric (a u32 immediately after the header, so it is validated before any
-// expensive reconstruction), the raw vectors, the coarse centroids, the
-// per-list ids, positional tombstones and code-store arrays (including the
-// per-code ||o_r||^2 the IP/cosine factors need), and the RabitqConfig --
-// including bits_per_dim (a u32 right after the config seed, validated
-// up front like the metric). Multi-bit stores additionally persist, per
-// code, the B_d - 1 extra bit planes and the primary multi factors
-// (m_o_o, m_alpha, m_beta, m_code_sum): unlike the derived estimator
-// factors these depend on the rotated residual, which is never stored. The
-// rotation is reconstructed deterministically from (dim, bits, kind, seed)
-// at load time, mirroring the paper's observation that the codebook never
-// needs to be materialized.
-// v5 adds durability, not payload: every byte after the 12-byte header is
-// covered by a CRC-32 footer, so bit-rot fails closed in Load with a
-// checksum IoError instead of reconstructing garbage that happens to pass
-// the structural bounds. Save is also crash-safe -- the blob is written to
-// `<path>.tmp` and renamed into place only after a clean Close, so a crash
-// or injected write fault mid-save leaves the previous snapshot intact.
-// Legacy files still load: v4 ("RBQIVF04", same layout minus the footer),
-// v3 ("RBQIVF03", written before multi-bit codes -- no bits_per_dim field
-// or multi payload, so it loads as bits_per_dim = 1, the only width in
-// existence then), v2 ("RBQIVF02", additionally no metric field or
-// per-code norms) and v1 ("RBQIVF01", written before the index became
-// mutable -- additionally no tombstone sections). v1/v2 default to
-// Metric::kL2, which fixes the old hardcoded `metric_ = kL2` that would
-// have silently mis-loaded any non-L2 snapshot.
+// expensive reconstruction), the RabitqConfig -- including bits_per_dim (a
+// u32 right after the config seed, validated up front like the metric) --
+// the raw vectors, the coarse centroids, and per list the ids, positional
+// tombstones and the code store. The code store writes itself
+// (RabitqCodeStore::Save): its packed fast-scan planes and resident factor
+// arrays as they sit in memory, so saving unpacks nothing and loading
+// derives nothing. The rotation is reconstructed deterministically from
+// (dim, bits, kind, seed) at load time, mirroring the paper's observation
+// that the codebook never needs to be materialized.
+// Every byte after the 12-byte header is covered by a CRC-32 footer, so
+// bit-rot fails closed in Load with a checksum IoError instead of
+// reconstructing garbage that happens to pass the structural bounds. Save
+// is also crash-safe -- the blob is written to `<path>.tmp` and renamed
+// into place only after a clean Close, so a crash or injected write fault
+// mid-save leaves the previous snapshot intact.
 //
-// The derived estimator factors (f_sq/f_cross/f_inv_oo/f_err) are NOT part
-// of any format: they are a pure function of the stored per-code
-// (dist_to_centroid, o_o, norm_sq) floats and the metric, and are recomputed
-// by RabitqCodeStore::Append as Load streams the codes in -- every format
-// version comes back with factors bit-identical to the ones the original
-// index computed at encode time.
+// Legacy files still load. v1-v5 keep per-code records of the bit strings
+// and the encoder's primaries instead of the store's memory image
+// (RabitqCodeStore::LoadLegacy reads them and derives the factors with
+// DeriveFactors, bit-identical to encoding):
+//   v5 ("RBQIVF05"): the v6 layout otherwise, CRC footer included;
+//   v4 ("RBQIVF04"): v5 minus the footer;
+//   v3 ("RBQIVF03"): written before multi-bit codes -- no bits_per_dim
+//       field or multi payload, so it loads as bits_per_dim = 1;
+//   v2 ("RBQIVF02"): additionally no metric field or per-code norms;
+//   v1 ("RBQIVF01"): written before the index became mutable --
+//       additionally no tombstone sections.
+// v1/v2 load as Metric::kL2, the only metric that existed then.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,16 +43,18 @@ namespace {
 // Readable formats, newest first; Save always writes kMagics[0]. Keeping
 // writer and reader on one table means a format bump cannot desynchronize
 // them.
-constexpr char kMagics[][8] = {{'R', 'B', 'Q', 'I', 'V', 'F', '0', '5'},
+constexpr char kMagics[][8] = {{'R', 'B', 'Q', 'I', 'V', 'F', '0', '6'},
+                               {'R', 'B', 'Q', 'I', 'V', 'F', '0', '5'},
                                {'R', 'B', 'Q', 'I', 'V', 'F', '0', '4'},
                                {'R', 'B', 'Q', 'I', 'V', 'F', '0', '3'},
                                {'R', 'B', 'Q', 'I', 'V', 'F', '0', '2'},
                                {'R', 'B', 'Q', 'I', 'V', 'F', '0', '1'}};
-constexpr std::uint32_t kVersions[] = {5, 4, 3, 2, 1};
+constexpr std::uint32_t kVersions[] = {6, 5, 4, 3, 2, 1};
 constexpr std::uint32_t kVersionV2 = 2;  // adds tombstones
 constexpr std::uint32_t kVersionV3 = 3;  // adds metric + per-code norms
 constexpr std::uint32_t kVersionV4 = 4;  // adds bits_per_dim + multi planes
 constexpr std::uint32_t kVersionV5 = 5;  // adds the CRC-32 body footer
+constexpr std::uint32_t kVersionV6 = 6;  // code stores as they sit in memory
 static_assert(std::size(kMagics) == std::size(kVersions),
               "every readable magic needs its version");
 }  // namespace
@@ -84,7 +82,7 @@ Status IvfRabitqIndex::SaveBody(const std::string& path) const {
   std::unique_ptr<BinaryWriter> writer;
   RABITQ_RETURN_IF_ERROR(BinaryWriter::Open(path, &writer));
   RABITQ_RETURN_IF_ERROR(WriteHeader(writer.get(), kMagics[0], kVersions[0]));
-  // v5: everything after the header feeds the CRC-32 footer.
+  // Everything after the header feeds the CRC-32 footer.
   writer->EnableChecksum();
 
   // v3: the metric comes FIRST so Load can validate it before reading (or
@@ -101,7 +99,8 @@ Status IvfRabitqIndex::SaveBody(const std::string& path) const {
   RABITQ_RETURN_IF_ERROR(
       writer->WriteU32(static_cast<std::uint32_t>(config.rotator)));
   RABITQ_RETURN_IF_ERROR(writer->WriteU64(config.seed));
-  // v4: the code width per dimension; gates the per-code multi payload.
+  // v4: the code width per dimension; gates the multi-bit planes and
+  // factors.
   const std::uint32_t bits_per_dim =
       static_cast<std::uint32_t>(config.bits_per_dim);
   RABITQ_RETURN_IF_ERROR(writer->WriteU32(bits_per_dim));
@@ -128,9 +127,7 @@ Status IvfRabitqIndex::SaveBody(const std::string& path) const {
   for (const List& list : lists_) total_entries += list.ids.size();
   RABITQ_RETURN_IF_ERROR(writer->WriteU64(total_entries));
 
-  // Per-list ids, tombstones and code arrays.
-  std::vector<std::uint64_t> bits(WordsForBits(encoder_.total_bits()));
-  std::vector<std::uint64_t> extra((bits_per_dim - 1) * bits.size());
+  // Per-list ids, tombstones and code stores.
   for (const List& list : lists_) {
     RABITQ_FAILPOINT("snapshot.write",
                      return Status::IoError("injected snapshot write fault"));
@@ -138,36 +135,7 @@ Status IvfRabitqIndex::SaveBody(const std::string& path) const {
         writer->WriteArray(list.ids.data(), list.ids.size()));
     RABITQ_RETURN_IF_ERROR(
         writer->WriteArray(list.dead.data(), list.dead.size()));
-    const RabitqCodeStore& codes = list.codes;
-    const std::size_t n = codes.size();
-    RABITQ_RETURN_IF_ERROR(writer->WriteU64(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      // The store keeps bits only in its packed planes; the file keeps the
-      // bit strings, sign plane first, then the low planes plane-major.
-      codes.UnpackPlane(i, bits_per_dim - 1, bits.data());
-      RABITQ_RETURN_IF_ERROR(
-          writer->WriteBytes(bits.data(), bits.size() * sizeof(std::uint64_t)));
-      RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.dist_to_centroid(i)));
-      RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.o_o(i)));
-      RABITQ_RETURN_IF_ERROR(writer->WriteU32(codes.bit_count(i)));
-      // v3: ||o_r||^2, stored (not recomputed at load: Update overwrites the
-      // raw row of a stale entry, so the raw vectors cannot reproduce every
-      // entry's norm) regardless of metric.
-      RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.norm_sq(i)));
-      // v4 multi payload: the low bit planes and the primary multi factors
-      // (the rotated residual they derive from is never stored).
-      if (bits_per_dim > 1) {
-        for (std::size_t j = 0; j + 1 < bits_per_dim; ++j) {
-          codes.UnpackPlane(i, j, extra.data() + j * bits.size());
-        }
-        RABITQ_RETURN_IF_ERROR(writer->WriteBytes(
-            extra.data(), extra.size() * sizeof(std::uint64_t)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_o_o(i)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_alpha(i)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_beta(i)));
-        RABITQ_RETURN_IF_ERROR(writer->WriteF32(codes.m_code_sum(i)));
-      }
-    }
+    RABITQ_RETURN_IF_ERROR(list.codes.Save(writer.get()));
   }
   RABITQ_RETURN_IF_ERROR(writer->WriteChecksumFooter());
   return writer->Close();
@@ -189,6 +157,7 @@ Status IvfRabitqIndex::Load(const std::string& path) {
   const bool has_metric = kVersions[format] >= kVersionV3;
   const bool has_norm_sq = kVersions[format] >= kVersionV3;
   const bool has_bits_per_dim = kVersions[format] >= kVersionV4;
+  const bool has_store_image = kVersions[format] >= kVersionV6;
 
   // v3 stores the metric right after the header; it is range-checked and
   // run through the ValidateMetric funnel BEFORE anything else is read --
@@ -310,11 +279,6 @@ Status IvfRabitqIndex::Load(const std::string& path) {
   }
 
   lists_.assign(num_lists, List{});
-  const std::size_t words = WordsForBits(total_bits);
-  std::vector<std::uint64_t> bits(words);
-  const std::size_t extra_words =
-      bits_per_dim > 1 ? (bits_per_dim - 1) * words : 0;
-  std::vector<std::uint64_t> extra(extra_words);
   num_tombstones_ = 0;
   std::uint64_t entries_seen = 0;
   for (List& list : lists_) {
@@ -335,40 +299,12 @@ Status IvfRabitqIndex::Load(const std::string& path) {
     } else {
       list.dead.assign(list.ids.size(), 0);
     }
-    std::uint64_t codes = 0;
-    RABITQ_RETURN_IF_ERROR(reader->ReadU64(&codes));
-    if (codes != list.ids.size()) {
-      return Status::IoError("list id/code count mismatch");
-    }
     list.codes.Init(total_bits, metric_, bits_per_dim);
-    list.codes.Reserve(codes);
-    for (std::uint64_t i = 0; i < codes; ++i) {
-      float dist = 0.0f, o_o = 0.0f, norm_sq = 0.0f;
-      std::uint32_t bit_count = 0;
-      RABITQ_RETURN_IF_ERROR(
-          reader->ReadBytes(bits.data(), words * sizeof(std::uint64_t)));
-      RABITQ_RETURN_IF_ERROR(reader->ReadF32(&dist));
-      RABITQ_RETURN_IF_ERROR(reader->ReadF32(&o_o));
-      RABITQ_RETURN_IF_ERROR(reader->ReadU32(&bit_count));
-      // Pre-v3 snapshots carry no norms; they are all-kL2, whose factors
-      // never read norm_sq, so 0 is not just a placeholder but exact.
-      if (has_norm_sq) {
-        RABITQ_RETURN_IF_ERROR(reader->ReadF32(&norm_sq));
-      }
-      if (bits_per_dim > 1) {
-        float m_o_o = 1.0f, m_alpha = 0.0f, m_beta = 0.0f, m_code_sum = 0.0f;
-        RABITQ_RETURN_IF_ERROR(reader->ReadBytes(
-            extra.data(), extra_words * sizeof(std::uint64_t)));
-        RABITQ_RETURN_IF_ERROR(reader->ReadF32(&m_o_o));
-        RABITQ_RETURN_IF_ERROR(reader->ReadF32(&m_alpha));
-        RABITQ_RETURN_IF_ERROR(reader->ReadF32(&m_beta));
-        RABITQ_RETURN_IF_ERROR(reader->ReadF32(&m_code_sum));
-        list.codes.Append(bits.data(), dist, o_o, bit_count, norm_sq,
-                          extra.data(), m_o_o, m_alpha, m_beta, m_code_sum);
-      } else {
-        list.codes.Append(bits.data(), dist, o_o, bit_count, norm_sq);
-      }
-    }
+    RABITQ_RETURN_IF_ERROR(
+        has_store_image
+            ? list.codes.Load(reader.get(), list.ids.size())
+            : list.codes.LoadLegacy(reader.get(), list.ids.size(),
+                                    has_norm_sq));
   }
 
   // Rebuild the per-id lifecycle state from the list contents: an id is

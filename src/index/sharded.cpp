@@ -91,6 +91,7 @@ Status ShardedIndex::Build(const Matrix& data, const ShardedConfig& config) {
     return Status::InvalidArgument("fewer vectors than shards");
   }
   RABITQ_RETURN_IF_ERROR(ValidateMetric(config.ivf.metric));
+  RABITQ_RETURN_IF_ERROR(CheckFinite(data.data(), data.size()));
   // Reset to the unbuilt state up front and only commit the new shards on
   // success: a failed (re)build must leave an empty index, never stale id
   // maps pointing into a differently-sized or half-built shard vector.
@@ -262,6 +263,7 @@ Status ShardedIndex::SearchWithScratch(const float* query,
   if (query == nullptr) return Status::InvalidArgument("null query");
   if (params.k == 0) return Status::InvalidArgument("k must be positive");
   if (shards_.empty()) return Status::FailedPrecondition("index not built");
+  RABITQ_RETURN_IF_ERROR(CheckFinite(query, dim()));
   if (rotated_query == nullptr) {
     // Normalize where we rotate (the IvfRabitqIndex contract): a caller
     // that pre-rotated the query guarantees it was already normalized.

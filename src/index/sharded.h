@@ -246,7 +246,8 @@ class ShardedIndex {
 
   /// Writes a sharded snapshot: `path` becomes a directory holding a
   /// MANIFEST ("RBQSHRD2": metric, shard count, id space, per-shard id
-  /// maps) plus one v5 ("RBQIVF05", CRC-32-footed) blob per shard, written
+  /// maps) plus one blob per shard in the current single-index format
+  /// (IvfRabitqIndex::Save, "RBQIVF06", CRC-32-footed), written
   /// in parallel. Crash-safe in two phases: every blob and the manifest are
   /// fully written to temporary names first, then renamed into place with
   /// the manifest last -- a crash or write fault during the first phase

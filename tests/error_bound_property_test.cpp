@@ -199,9 +199,11 @@ TEST_F(ErrorBoundPropertyTest, ReEncodingIsDeterministic) {
     for (std::size_t w = 0; w < store_.words_per_code(); ++w) {
       ASSERT_EQ(bits[w], again_bits[w]);
     }
-    EXPECT_EQ(store_.dist_to_centroid(i), again.dist_to_centroid(i));
-    EXPECT_EQ(store_.o_o(i), again.o_o(i));
+    // dist_to_centroid, o_o and bit_count, through their resident images.
+    EXPECT_EQ(store_.factors(i).f_cross, again.factors(i).f_cross);
+    EXPECT_EQ(store_.factors(i).f_inv_oo, again.factors(i).f_inv_oo);
     EXPECT_EQ(store_.bit_count(i), again.bit_count(i));
+    EXPECT_EQ(store_.factors(i), again.factors(i));
   }
 }
 

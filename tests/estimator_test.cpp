@@ -292,16 +292,21 @@ TEST(EstimatorTest, ErrorShrinksWithCodeLength) {
 }
 
 TEST(EstimatorTest, IpErrorBoundFormula) {
-  // Hand-check Eq. 16's half-width.
+  // Hand-check Eq. 16's half-width: the resident f_err factor times eps0.
+  const auto ip_error_bound = [](float o_o, float eps0, std::size_t b) {
+    CodePrimaries primaries;
+    primaries.o_o = o_o;
+    return DeriveFactors(primaries, Metric::kL2, b).f_err * eps0;
+  };
   const float o_o = 0.8f;
   const float eps0 = 1.9f;
   const std::size_t b = 128;
   const float expected =
       std::sqrt((1.0f - 0.64f) / 0.64f) * 1.9f / std::sqrt(127.0f);
-  EXPECT_NEAR(IpErrorBound(o_o, eps0, b), expected, 1e-6f);
+  EXPECT_NEAR(ip_error_bound(o_o, eps0, b), expected, 1e-6f);
   // Larger codes tighten the bound; weaker concentration widens it.
-  EXPECT_LT(IpErrorBound(0.8f, 1.9f, 512), IpErrorBound(0.8f, 1.9f, 128));
-  EXPECT_GT(IpErrorBound(0.5f, 1.9f, 128), IpErrorBound(0.9f, 1.9f, 128));
+  EXPECT_LT(ip_error_bound(0.8f, 1.9f, 512), ip_error_bound(0.8f, 1.9f, 128));
+  EXPECT_GT(ip_error_bound(0.5f, 1.9f, 128), ip_error_bound(0.9f, 1.9f, 128));
 }
 
 TEST(EstimatorTest, DegenerateCodesShortCircuit) {

@@ -6,10 +6,12 @@
 //   * the in-kernel pruning variant returns exactly the survivors the
 //     un-fused per-entry loop would have re-ranked (tombstone masks, tail
 //     lanes, threshold semantics included);
-//   * the per-code factors (f_sq/f_cross/f_inv_oo/f_err) computed at append
-//     time survive every code-creation path bit-for-bit: incremental
-//     Append, CompactInto, and snapshot Load (v1 golden file and a v2 round trip --
-//     the factors are never serialized, always recomputed).
+//   * the resident per-code factors (f_sq/f_cross/f_inv_oo/f_err) equal the
+//     restated formulas applied to the encoder's primaries, and survive
+//     every code-creation path bit-for-bit: incremental appends,
+//     CompactInto, and snapshot Load (the v1 golden file, whose factors are
+//     derived from the primaries in its per-code records, and a current
+//     format round trip, which saves the factors as they are).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <cfloat>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "index/ivf.h"
 #include "quant/fastscan.h"
 #include "util/prng.h"
+#include "util/serialize.h"
 
 #ifndef RABITQ_TEST_DATA_DIR
 #define RABITQ_TEST_DATA_DIR "tests/data"
@@ -60,7 +64,7 @@ std::vector<float> RandomVec(std::size_t dim, Rng* rng, float scale = 1.0f) {
   return v;
 }
 
-// The factor formulas of RabitqCodeStore::Append, restated independently.
+// The factor formulas of DeriveFactors, restated independently.
 struct ExpectedFactors {
   float f_sq, f_cross, f_inv_oo, f_err;
 };
@@ -77,10 +81,14 @@ ExpectedFactors FactorsOf(float dist, float o_o, std::size_t total_bits) {
   return f;
 }
 
-void ExpectFactorsMatch(const RabitqCodeStore& store) {
+// `primaries` holds the encoder's output for each code of `store`, in order.
+void ExpectFactorsMatch(const RabitqCodeStore& store,
+                        const std::vector<CodePrimaries>& primaries) {
+  ASSERT_EQ(store.size(), primaries.size());
   for (std::size_t i = 0; i < store.size(); ++i) {
     const ExpectedFactors want =
-        FactorsOf(store.dist_to_centroid(i), store.o_o(i), store.total_bits());
+        FactorsOf(primaries[i].dist_to_centroid, primaries[i].o_o,
+                  store.total_bits());
     EXPECT_EQ(store.f_sq_data()[i], want.f_sq) << "code " << i;
     EXPECT_EQ(store.f_cross_data()[i], want.f_cross) << "code " << i;
     EXPECT_EQ(store.f_inv_oo_data()[i], want.f_inv_oo) << "code " << i;
@@ -91,8 +99,17 @@ void ExpectFactorsMatch(const RabitqCodeStore& store) {
 struct Workload {
   RabitqEncoder encoder;
   RabitqCodeStore store;
+  std::vector<CodePrimaries> primaries;  // per code of `store`
   Matrix queries;
   std::vector<float> centroid;
+
+  // EncodeAppend, recording the code's primaries from Encode alongside.
+  void Add(const float* vec) {
+    EncodedCode code;
+    encoder.Encode(vec, centroid.data(), &code);
+    primaries.push_back(code.primaries);
+    ASSERT_TRUE(encoder.EncodeAppend(vec, centroid.data(), &store).ok());
+  }
 };
 
 // n codes against a random centroid; code 0 is planted at the centroid
@@ -108,8 +125,7 @@ void BuildWorkload(std::size_t dim, std::size_t n, std::size_t n_queries,
   w->centroid = RandomVec(dim, &rng, 0.5f);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<float> v = (i == 0 && n > 2) ? w->centroid : RandomVec(dim, &rng);
-    ASSERT_TRUE(
-        w->encoder.EncodeAppend(v.data(), w->centroid.data(), &w->store).ok());
+    w->Add(v.data());
   }
   w->queries.Reset(n_queries, dim);
   for (std::size_t q = 0; q < n_queries; ++q) {
@@ -297,7 +313,11 @@ TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
   }
   // Hand-append a code whose squared distance overflows float.
   std::vector<std::uint64_t> bits(store.words_per_code(), 0x5555555555555555u);
-  store.Append(bits.data(), FLT_MAX, 0.5f, 32);
+  store.Append(bits.data(),
+               DeriveFactors({.dist_to_centroid = FLT_MAX,
+                              .o_o = 0.5f,
+                              .bit_count = 32},
+                             Metric::kL2, store.total_bits()));
   ASSERT_EQ(store.f_sq_data()[8], std::numeric_limits<float>::infinity());
 
   std::vector<float> query(32, 1.0f);
@@ -332,24 +352,27 @@ TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
 TEST(FusedEstimatorTest, FactorsSurviveAppendAndCompaction) {
   Workload w;
   BuildWorkload(60, 50, 1, 64, 33, &w);
-  ExpectFactorsMatch(w.store);
+  ExpectFactorsMatch(w.store, w.primaries);
 
   // Incremental appends (the Add path) compute the same factors.
   Rng rng(12);
   std::vector<float> v(60);
   for (int i = 0; i < 5; ++i) {
     for (auto& x : v) x = static_cast<float>(rng.Gaussian());
-    ASSERT_TRUE(w.encoder.EncodeAppend(v.data(), w.centroid.data(), &w.store)
-                    .ok());
+    w.Add(v.data());
   }
-  ExpectFactorsMatch(w.store);
+  ExpectFactorsMatch(w.store, w.primaries);
 
-  // Compaction recomputes factors bit-identically for the survivors.
+  // Compaction copies the survivors' factors bit-identically.
   std::vector<std::uint8_t> dead(w.store.size(), 0);
   for (std::size_t i = 0; i < dead.size(); i += 3) dead[i] = 1;
   RabitqCodeStore compacted;
   w.store.CompactInto(dead.data(), &compacted);
-  ExpectFactorsMatch(compacted);
+  std::vector<CodePrimaries> live_primaries;
+  for (std::size_t i = 0; i < dead.size(); ++i) {
+    if (!dead[i]) live_primaries.push_back(w.primaries[i]);
+  }
+  ExpectFactorsMatch(compacted, live_primaries);
   std::size_t live = 0;
   for (std::size_t i = 0; i < w.store.size(); ++i) {
     if (dead[i]) continue;
@@ -362,24 +385,71 @@ TEST(FusedEstimatorTest, FactorsSurviveAppendAndCompaction) {
   EXPECT_EQ(live, compacted.size());
 }
 
+// The per-code primaries of a v1 snapshot, list by list, read straight from
+// its per-code records (sign bits, dist_to_centroid, o_o, bit_count).
+std::vector<std::vector<CodePrimaries>> ReadV1Primaries(
+    const std::string& path) {
+  std::vector<std::vector<CodePrimaries>> lists;
+  std::unique_ptr<BinaryReader> reader;
+  EXPECT_TRUE(BinaryReader::Open(path, &reader).ok());
+  if (reader == nullptr) return lists;
+  char magic[8];
+  std::uint32_t version = 0, u32 = 0;
+  std::uint64_t dim = 0, total_bits = 0, u64 = 0, n = 0, num_lists = 0;
+  float f32 = 0.0f;
+  EXPECT_TRUE(reader->ReadBytes(magic, 8).ok());
+  EXPECT_TRUE(reader->ReadU32(&version).ok());
+  EXPECT_EQ(version, 1u);
+  EXPECT_TRUE(reader->ReadU64(&dim).ok());
+  EXPECT_TRUE(reader->ReadU64(&total_bits).ok());
+  EXPECT_TRUE(reader->ReadF32(&f32).ok());  // epsilon0
+  EXPECT_TRUE(reader->ReadU32(&u32).ok());  // query_bits
+  EXPECT_TRUE(reader->ReadU32(&u32).ok());  // rotator kind
+  EXPECT_TRUE(reader->ReadU64(&u64).ok());  // seed
+  EXPECT_TRUE(reader->ReadU64(&n).ok());
+  std::vector<float> floats(n * dim);
+  EXPECT_TRUE(reader->ReadBytes(floats.data(), floats.size() * 4).ok());
+  EXPECT_TRUE(reader->ReadU64(&num_lists).ok());
+  floats.resize(num_lists * dim);
+  EXPECT_TRUE(reader->ReadBytes(floats.data(), floats.size() * 4).ok());
+  std::vector<std::uint64_t> bits(total_bits / 64);
+  for (std::uint64_t l = 0; l < num_lists; ++l) {
+    std::vector<std::uint32_t> ids;
+    EXPECT_TRUE(reader->ReadArray<std::uint32_t>(&ids).ok());
+    std::uint64_t codes = 0;
+    EXPECT_TRUE(reader->ReadU64(&codes).ok());
+    std::vector<CodePrimaries>& list = lists.emplace_back(codes);
+    for (CodePrimaries& p : list) {
+      EXPECT_TRUE(reader->ReadBytes(bits.data(), bits.size() * 8).ok());
+      EXPECT_TRUE(reader->ReadF32(&p.dist_to_centroid).ok());
+      EXPECT_TRUE(reader->ReadF32(&p.o_o).ok());
+      EXPECT_TRUE(reader->ReadU32(&p.bit_count).ok());
+    }
+  }
+  return lists;
+}
+
 TEST(FusedEstimatorTest, GoldenV1LoadRecomputesFactors) {
-  // The committed pre-factor-era snapshot: Load must rebuild the factor
-  // arrays from the stored (dist, o_o) floats -- no format bump -- and the
-  // fused path over the loaded index must agree with the bitwise path.
+  // The committed pre-factor-era snapshot: Load must derive the factor
+  // arrays from the stored (dist, o_o) floats, and the fused path over the
+  // loaded index must agree with the bitwise path.
   IvfRabitqIndex index;
   const std::string golden =
       std::string(RABITQ_TEST_DATA_DIR) + "/golden_v1.rbq";
   ASSERT_TRUE(index.Load(golden).ok()) << "cannot load v1 golden " << golden;
+  const std::vector<std::vector<CodePrimaries>> primaries =
+      ReadV1Primaries(golden);
+  ASSERT_EQ(primaries.size(), index.num_lists());
   std::size_t codes_checked = 0;
   for (std::size_t l = 0; l < index.num_lists(); ++l) {
-    ExpectFactorsMatch(index.list_codes(l));
+    ExpectFactorsMatch(index.list_codes(l), primaries[l]);
     codes_checked += index.list_codes(l).size();
   }
   EXPECT_EQ(codes_checked, index.size());
 
-  // v2 round trip: factors after Save/Load are bit-identical to the
-  // original in-memory ones (both recomputed from identical floats).
-  const std::string path = ::testing::TempDir() + "/fused_factors_v2.rbq";
+  // Current-format round trip: factors after Save/Load are bit-identical
+  // to the in-memory ones (the file holds them as they are).
+  const std::string path = ::testing::TempDir() + "/fused_factors_v6.rbq";
   ASSERT_TRUE(index.Save(path).ok());
   IvfRabitqIndex reloaded;
   ASSERT_TRUE(reloaded.Load(path).ok());

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -252,6 +255,65 @@ TEST(IvfTest, RejectsBadArguments) {
   EXPECT_FALSE(index.Search({data.Row(0), params}).ok());
   params.k = 5;
   EXPECT_FALSE(index.Search({nullptr, params}).ok());
+}
+
+// A NaN or +/-inf coordinate is rejected at every ingest and query entry
+// point, and the index is left as it was: a non-finite vector would
+// otherwise surface as a NaN-distance neighbor of ordinary queries. Huge
+// but finite values stay accepted.
+TEST(IvfTest, RejectsNonFiniteVectors) {
+  constexpr std::size_t kDim = 16;
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  const Matrix data = ClusteredData(200, kDim, 4, 1);
+  IvfConfig ivf;
+  ivf.num_lists = 4;
+  for (const float bad : kBad) {
+    Matrix poisoned = data;
+    poisoned.At(17, 3) = bad;
+    IvfRabitqIndex index;
+    EXPECT_EQ(index.Build(poisoned, ivf, RabitqConfig{}).code(),
+              StatusCode::kInvalidArgument);
+    Matrix centroids(1, kDim);
+    std::copy_n(data.Row(0), kDim, centroids.Row(0));
+    const std::vector<std::uint32_t> assignments(data.rows(), 0);
+    EXPECT_EQ(index
+                  .BuildFromClustering(poisoned, std::move(centroids),
+                                       assignments.data(), RabitqConfig{})
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  IvfRabitqIndex index;
+  ASSERT_TRUE(index.Build(data, ivf, RabitqConfig{}).ok());
+  SearchOptions params;
+  params.k = 10;
+  params.nprobe = ivf.num_lists;
+  params.seed = 3;
+  for (const float bad : kBad) {
+    std::vector<float> vec(data.Row(5), data.Row(5) + kDim);
+    vec[7] = bad;
+    EXPECT_EQ(index.Add(vec.data()).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(index.Update(5, vec.data()).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index.Search({vec.data(), params}).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(index.size(), data.rows());
+  EXPECT_EQ(index.live_size(), data.rows());
+  EXPECT_EQ(index.num_tombstones(), 0u);
+  const SearchResponse response = index.Search({data.Row(5), params});
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response.neighbors.size(), params.k);
+  for (const Neighbor& nb : response.neighbors) {
+    EXPECT_TRUE(std::isfinite(nb.first)) << "id " << nb.second;
+  }
+
+  const std::vector<float> huge(kDim, 1e30f);
+  EXPECT_TRUE(index.Add(huge.data()).ok());
+  EXPECT_TRUE(index.Update(5, huge.data()).ok());
+  EXPECT_TRUE(index.Search({huge.data(), params}).ok());
 }
 
 TEST(IvfTest, MoreListsThanPointsClamps) {

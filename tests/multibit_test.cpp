@@ -14,7 +14,7 @@
 //     oracle at every width under kL2 and kInnerProduct, on both estimator
 //     paths, and the batch/non-batch paths agree away from exhaustive
 //     settings too;
-//   * the multi-bit payload survives snapshot v4, Add/Delete/compaction, and
+//   * the multi-bit payload survives snapshots, Add/Delete/compaction, and
 //     sharded + engine serving (including the codes_refined telemetry).
 
 #include <gtest/gtest.h>
@@ -56,7 +56,8 @@ std::vector<std::uint64_t> SignBits(const RabitqCodeStore& store,
 
 std::vector<std::uint64_t> ExtraPlanes(const RabitqCodeStore& store,
                                        std::size_t i) {
-  std::vector<std::uint64_t> planes(store.extra_words_per_code());
+  std::vector<std::uint64_t> planes((store.bits_per_dim() - 1) *
+                                    store.words_per_code());
   for (std::size_t j = 0; j + 1 < store.bits_per_dim(); ++j) {
     store.UnpackPlane(i, j, planes.data() + j * store.words_per_code());
   }
@@ -183,8 +184,11 @@ TEST(MultibitTest, SignPlaneIdenticalToOneBitCode) {
             << "B " << bits << " code " << i << " word " << wd;
       }
       EXPECT_EQ(one.store.bit_count(i), multi.store.bit_count(i));
-      EXPECT_EQ(one.store.dist_to_centroid(i), multi.store.dist_to_centroid(i));
-      EXPECT_EQ(one.store.o_o(i), multi.store.o_o(i));
+      // dist_to_centroid and o_o, through their resident images.
+      EXPECT_EQ(one.store.f_sq_data()[i], multi.store.f_sq_data()[i]);
+      EXPECT_EQ(one.store.f_cross_data()[i], multi.store.f_cross_data()[i]);
+      EXPECT_EQ(one.store.f_inv_oo_data()[i], multi.store.f_inv_oo_data()[i]);
+      EXPECT_EQ(one.store.f_err_data()[i], multi.store.f_err_data()[i]);
       // MSB-plane identity at the level granularity.
       const std::size_t b = multi.store.total_bits();
       for (std::size_t d = 0; d < b; ++d) {
@@ -236,8 +240,12 @@ TEST(MultibitTest, GridFactorsMatchReconstruction) {
       for (auto& x : residual) x /= norm;
       enc.rotator().InverseRotate(residual.data(), rotated.data());
 
-      const float alpha = store.m_alpha(i);
-      const float beta = store.m_beta(i);
+      EncodedCode code;
+      enc.Encode(vecs[i].data(), centroid.data(), &code);
+      ASSERT_EQ(store.factors(i),
+                DeriveFactors(code.primaries, Metric::kL2, b));
+      const float alpha = store.m_alpha_data()[i];
+      const float beta = store.m_beta_data()[i];
       double code_sum = 0.0, norm_sq = 0.0, dot = 0.0;
       const std::vector<std::uint64_t> sign = SignBits(store, i);
       const std::vector<std::uint64_t> extra = ExtraPlanes(store, i);
@@ -253,11 +261,12 @@ TEST(MultibitTest, GridFactorsMatchReconstruction) {
         norm_sq += xb * xb;
         dot += xb * static_cast<double>(rotated[d]);
       }
-      EXPECT_EQ(store.m_code_sum(i), static_cast<float>(code_sum))
+      EXPECT_EQ(store.m_code_sum_data()[i], static_cast<float>(code_sum))
           << "B " << bits << " code " << i;
       EXPECT_NEAR(norm_sq, 1.0, 1e-4) << "B " << bits << " code " << i;
-      EXPECT_NEAR(store.m_o_o(i), dot, 1e-4) << "B " << bits << " code " << i;
-      EXPECT_LE(store.m_o_o(i), 1.0f + 1e-5f);
+      const float m_o_o = code.primaries.m_o_o;
+      EXPECT_NEAR(m_o_o, dot, 1e-4) << "B " << bits << " code " << i;
+      EXPECT_LE(m_o_o, 1.0f + 1e-5f);
       mean_err += store.m_err_data()[i];
     }
     mean_err /= static_cast<double>(n);
@@ -559,8 +568,8 @@ TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
 }
 
 // Snapshots carry the multi-bit payload: bits_per_dim, the extra code
-// planes and the persisted grid factors all round-trip bitwise (through the
-// current v5 checksummed format), and post-load search is bit-identical.
+// planes and the resident grid factors all round-trip bitwise (through the
+// current v6 format), and post-load search is bit-identical.
 TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
   const IvfRabitqIndex index = BuildSingle(Metric::kInnerProduct, 4);
   const std::string path = ::testing::TempDir() + "/multibit_v4.rbq";
@@ -569,7 +578,7 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
     std::ifstream in(path, std::ios::binary);
     char magic[8] = {};
     in.read(magic, 8);
-    EXPECT_EQ(std::string(magic, 8), "RBQIVF05");
+    EXPECT_EQ(std::string(magic, 8), "RBQIVF06");
   }
   IvfRabitqIndex loaded;
   ASSERT_TRUE(loaded.Load(path).ok());
@@ -584,15 +593,15 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       const std::vector<std::uint64_t> a_extra = ExtraPlanes(a, i);
       const std::vector<std::uint64_t> b_extra = ExtraPlanes(b, i);
-      for (std::size_t wd = 0; wd < a.extra_words_per_code(); ++wd) {
+      for (std::size_t wd = 0; wd < a_extra.size(); ++wd) {
         ASSERT_EQ(a_extra[wd], b_extra[wd])
             << "list " << l << " code " << i << " word " << wd;
       }
-      EXPECT_EQ(a.m_o_o(i), b.m_o_o(i));
-      EXPECT_EQ(a.m_alpha(i), b.m_alpha(i));
-      EXPECT_EQ(a.m_beta(i), b.m_beta(i));
-      EXPECT_EQ(a.m_code_sum(i), b.m_code_sum(i));
-      // Derived factors are recomputed from the same floats -- identical.
+      // m_o_o, through its resident images m_inv_oo / m_err.
+      EXPECT_EQ(a.factors(i), b.factors(i));
+      EXPECT_EQ(a.m_alpha_data()[i], b.m_alpha_data()[i]);
+      EXPECT_EQ(a.m_beta_data()[i], b.m_beta_data()[i]);
+      EXPECT_EQ(a.m_code_sum_data()[i], b.m_code_sum_data()[i]);
       EXPECT_EQ(a.m_inv_oo_data()[i], b.m_inv_oo_data()[i]);
       EXPECT_EQ(a.m_err_data()[i], b.m_err_data()[i]);
     }

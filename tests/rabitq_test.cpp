@@ -1,5 +1,6 @@
-// Tests for the RaBitQ encoder and code store: stored factors match their
-// definitions (<o-bar,o> = ||P^T o||_1 / sqrt(B), popcounts, residual norms),
+// Tests for the RaBitQ encoder and code store: the encoder's primaries match
+// their definitions (<o-bar,o> = ||P^T o||_1 / sqrt(B), popcounts, residual
+// norms) and the store keeps exactly their DeriveFactors image,
 // reconstruction geometry, degenerate vectors, and the paper's
 // concentration facts (E[<o-bar,o>] ~= 0.8 for the sampled rotation family),
 // and the packed planes that are the store's only copy of the bits.
@@ -63,16 +64,24 @@ TEST_P(RabitqEncoderParamTest, StoredFactorsMatchDefinitions) {
   const auto centroid = RandomVec(dim, &rng);
   for (int i = 0; i < 20; ++i) {
     const auto vec = RandomVec(dim, &rng, 2.0f);
+    EncodedCode code;
+    enc.Encode(vec.data(), centroid.data(), &code);
     ASSERT_TRUE(enc.EncodeAppend(vec.data(), centroid.data(), &store).ok());
+    // The store keeps the code's bits and the resident image of its
+    // primaries.
     std::vector<std::uint64_t> bits(store.words_per_code());
     store.UnpackPlane(i, 0, bits.data());
+    EXPECT_TRUE(std::equal(bits.begin(), bits.end(), code.planes.begin()));
+    EXPECT_EQ(store.factors(i), DeriveFactors(code.primaries, Metric::kL2, b));
+    const CodePrimaries& primaries = code.primaries;
 
     // dist_to_centroid = ||vec - centroid||.
-    EXPECT_NEAR(store.dist_to_centroid(i),
+    EXPECT_NEAR(primaries.dist_to_centroid,
                 std::sqrt(L2SqrDistance(vec.data(), centroid.data(), dim)),
                 1e-3f);
     // bit_count = popcount of the stored bits.
     EXPECT_EQ(store.bit_count(i), PopCount(bits.data(), store.words_per_code()));
+    EXPECT_EQ(primaries.bit_count, store.bit_count(i));
 
     // o_o = <x-bar, P^T o> recomputed from scratch.
     std::vector<float> o(dim);
@@ -85,10 +94,10 @@ TEST_P(RabitqEncoderParamTest, StoredFactorsMatchDefinitions) {
     for (std::size_t j = 0; j < b; ++j) {
       manual += (GetBit(bits.data(), j) ? scale : -scale) * rotated[j];
     }
-    EXPECT_NEAR(store.o_o(i), manual, 1e-3f);
+    EXPECT_NEAR(primaries.o_o, manual, 1e-3f);
     // <o-bar, o> is positive and bounded by 1 (both unit vectors).
-    EXPECT_GT(store.o_o(i), 0.0f);
-    EXPECT_LE(store.o_o(i), 1.0f + 1e-4f);
+    EXPECT_GT(primaries.o_o, 0.0f);
+    EXPECT_LE(primaries.o_o, 1.0f + 1e-4f);
   }
 }
 
@@ -101,21 +110,20 @@ TEST_P(RabitqEncoderParamTest, ReconstructionHasUnitNormAndMatchesOO) {
   const std::size_t b = enc.total_bits();
 
   Rng rng(dim * 5 + 7);
-  RabitqCodeStore store(b);
   const auto vec = RandomVec(dim, &rng);
-  ASSERT_TRUE(enc.EncodeAppend(vec.data(), nullptr, &store).ok());
+  EncodedCode code;
+  enc.Encode(vec.data(), nullptr, &code);
 
-  // o-bar = P x-bar is a unit vector, and <o-bar, pad(o)> == stored o_o.
+  // o-bar = P x-bar is a unit vector, and <o-bar, pad(o)> == encoded o_o.
   std::vector<float> o_bar(b);
-  std::vector<std::uint64_t> bits(store.words_per_code());
-  store.UnpackPlane(0, 0, bits.data());
-  enc.ReconstructQuantizedUnit(bits.data(), o_bar.data());
+  enc.ReconstructQuantizedUnit(code.planes.data(), o_bar.data());
   EXPECT_NEAR(Norm(o_bar.data(), b), 1.0f, 1e-3f);
 
   std::vector<float> o_padded(b, 0.0f);
   std::copy_n(vec.data(), dim, o_padded.data());
   NormalizeInPlace(o_padded.data(), b);
-  EXPECT_NEAR(Dot(o_bar.data(), o_padded.data(), b), store.o_o(0), 1e-3f);
+  EXPECT_NEAR(Dot(o_bar.data(), o_padded.data(), b), code.primaries.o_o,
+              1e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, RabitqEncoderParamTest,
@@ -130,9 +138,14 @@ TEST(RabitqEncoderTest, ZeroResidualVectorIsHandled) {
   ASSERT_TRUE(enc.Init(32, RabitqConfig{}).ok());
   RabitqCodeStore store(enc.total_bits());
   std::vector<float> vec(32, 1.5f);
+  EncodedCode code;
+  enc.Encode(vec.data(), vec.data(), &code);
+  EXPECT_FLOAT_EQ(code.primaries.dist_to_centroid, 0.0f);
+  EXPECT_FLOAT_EQ(code.primaries.o_o, 1.0f);
+  // The kernels' L2 zero-residual blend keys on f_cross == 0.
   ASSERT_TRUE(enc.EncodeAppend(vec.data(), vec.data(), &store).ok());
-  EXPECT_FLOAT_EQ(store.dist_to_centroid(0), 0.0f);
-  EXPECT_FLOAT_EQ(store.o_o(0), 1.0f);
+  EXPECT_EQ(store.f_cross_data()[0], 0.0f);
+  EXPECT_EQ(store.f_inv_oo_data()[0], 1.0f);
 }
 
 TEST(RabitqEncoderTest, ConcentrationAroundPoint8) {
@@ -142,14 +155,14 @@ TEST(RabitqEncoderTest, ConcentrationAroundPoint8) {
   const std::size_t dim = 128;
   RabitqEncoder enc;
   ASSERT_TRUE(enc.Init(dim, RabitqConfig{}).ok());
-  RabitqCodeStore store(enc.total_bits());
   Rng rng(2024);
   const int n = 400;
   double sum = 0.0;
+  EncodedCode code;
   for (int i = 0; i < n; ++i) {
     const auto vec = RandomVec(dim, &rng);
-    ASSERT_TRUE(enc.EncodeAppend(vec.data(), nullptr, &store).ok());
-    sum += store.o_o(i);
+    enc.Encode(vec.data(), nullptr, &code);
+    sum += code.primaries.o_o;
   }
   EXPECT_NEAR(sum / n, 0.8, 0.02);
 }
@@ -167,10 +180,10 @@ TEST(RabitqEncoderTest, PaddingIncreasesOO) {
     RabitqConfig config;
     config.total_bits = bits;
     ASSERT_TRUE(enc.Init(dim, config).ok());
-    RabitqCodeStore store(bits);
-    ASSERT_TRUE(enc.EncodeAppend(vec.data(), nullptr, &store).ok());
-    EXPECT_GT(store.o_o(0), 0.6f);
-    EXPECT_LT(store.o_o(0), 0.95f);
+    EncodedCode code;
+    enc.Encode(vec.data(), nullptr, &code);
+    EXPECT_GT(code.primaries.o_o, 0.6f);
+    EXPECT_LT(code.primaries.o_o, 0.95f);
   }
 }
 
@@ -178,21 +191,29 @@ TEST(RabitqCodeStoreTest, AppendUnpackRoundTrip) {
   RabitqCodeStore store(128);
   EXPECT_EQ(store.words_per_code(), 2u);
   std::uint64_t bits[2] = {0xDEADBEEFCAFEBABEULL, 0x0123456789ABCDEFULL};
-  store.Append(bits, 3.5f, 0.82f, 61);
+  const CodeFactors factors = DeriveFactors(
+      {.dist_to_centroid = 3.5f, .o_o = 0.82f, .bit_count = 61}, Metric::kL2,
+      128);
+  store.Append(bits, factors);
   ASSERT_EQ(store.size(), 1u);
   std::uint64_t unpacked[2] = {0, 0};
   store.UnpackPlane(0, 0, unpacked);
   EXPECT_EQ(unpacked[0], bits[0]);
   EXPECT_EQ(unpacked[1], bits[1]);
-  EXPECT_FLOAT_EQ(store.dist_to_centroid(0), 3.5f);
-  EXPECT_FLOAT_EQ(store.o_o(0), 0.82f);
+  EXPECT_EQ(store.factors(0), factors);
+  // dist_to_centroid and o_o, through their resident images.
+  EXPECT_FLOAT_EQ(store.f_cross_data()[0], 2.0f * 3.5f);
+  EXPECT_FLOAT_EQ(store.f_inv_oo_data()[0], 1.0f / 0.82f);
   EXPECT_EQ(store.bit_count(0), 61u);
 }
 
 TEST(RabitqCodeStoreTest, AppendPacksNibbles) {
   RabitqCodeStore store(64);
   std::uint64_t bits = 0xFEDCBA9876543210ULL;
-  store.Append(&bits, 1.0f, 0.8f, 32);
+  store.Append(&bits, DeriveFactors({.dist_to_centroid = 1.0f,
+                                     .o_o = 0.8f,
+                                     .bit_count = 32},
+                                    Metric::kL2, 64));
   ASSERT_TRUE(store.finalized());
   const FastScanCodes& packed = store.packed();
   EXPECT_EQ(packed.num_segments, 16u);
@@ -242,15 +263,18 @@ TEST(RabitqCodeStoreTest, AppendedPlanesMatchRepack) {
     store.Init(total_bits, Metric::kL2, bits_per_dim);
     // 71 codes: crosses two block boundaries and ends mid-block.
     for (std::size_t i = 0; i < 71; ++i) {
-      std::uint64_t bits[2] = {rng.NextU64(), rng.NextU64()};
-      std::vector<std::uint64_t> extra(store.extra_words_per_code());
-      for (auto& w : extra) w = rng.NextU64();
-      const float d = rng.UniformFloat() + 0.5f;
-      const float o_o = rng.UniformFloat() * 0.3f + 0.6f;
-      const std::uint32_t pop = static_cast<std::uint32_t>(rng.UniformInt(128));
+      // bits_per_dim planes of 2 words, the sign plane last.
+      std::vector<std::uint64_t> planes(bits_per_dim * 2);
+      for (auto& w : planes) w = rng.NextU64();
+      CodePrimaries primaries;
+      primaries.dist_to_centroid = rng.UniformFloat() + 0.5f;
+      primaries.o_o = rng.UniformFloat() * 0.3f + 0.6f;
+      primaries.bit_count = static_cast<std::uint32_t>(rng.UniformInt(128));
+      primaries.m_o_o = 0.9f;
       // Every fifth multi-bit code takes the all-zero low planes.
-      store.Append(bits, d, o_o, pop, 0.0f,
-                   i % 5 == 0 ? nullptr : extra.data(), 0.9f);
+      if (i % 5 == 0) std::fill(planes.begin(), planes.end() - 2, 0);
+      store.Append(planes.data(),
+                   DeriveFactors(primaries, Metric::kL2, total_bits));
       ExpectPackedMatchesRepack(store);
     }
   }
@@ -310,12 +334,15 @@ TEST(RabitqCodeStoreTest, CompactIntoDropsDeadEntries) {
   RabitqCodeStore expect(total_bits);
   for (std::size_t i = 0; i < 50; ++i) {
     std::uint64_t bits = rng.NextU64();
-    const float d = rng.UniformFloat() + 0.5f;
-    const float o_o = 0.8f;
-    const std::uint32_t pop = static_cast<std::uint32_t>(rng.UniformInt(64));
-    store.Append(&bits, d, o_o, pop);
+    CodePrimaries primaries;
+    primaries.dist_to_centroid = rng.UniformFloat() + 0.5f;
+    primaries.o_o = 0.8f;
+    primaries.bit_count = static_cast<std::uint32_t>(rng.UniformInt(64));
+    const CodeFactors factors =
+        DeriveFactors(primaries, Metric::kL2, total_bits);
+    store.Append(&bits, factors);
     dead.push_back(i % 3 == 0 ? 1 : 0);
-    if (i % 3 != 0) expect.Append(&bits, d, o_o, pop);
+    if (i % 3 != 0) expect.Append(&bits, factors);
   }
 
   RabitqCodeStore compacted;
@@ -327,9 +354,11 @@ TEST(RabitqCodeStoreTest, CompactIntoDropsDeadEntries) {
     compacted.UnpackPlane(i, 0, &got);
     expect.UnpackPlane(i, 0, &want);
     EXPECT_EQ(got, want);
-    EXPECT_FLOAT_EQ(compacted.dist_to_centroid(i), expect.dist_to_centroid(i));
-    EXPECT_FLOAT_EQ(compacted.o_o(i), expect.o_o(i));
+    // dist_to_centroid and o_o, through their resident images.
+    EXPECT_FLOAT_EQ(compacted.f_cross_data()[i], expect.f_cross_data()[i]);
+    EXPECT_FLOAT_EQ(compacted.f_inv_oo_data()[i], expect.f_inv_oo_data()[i]);
     EXPECT_EQ(compacted.bit_count(i), expect.bit_count(i));
+    EXPECT_EQ(compacted.factors(i), expect.factors(i));
   }
   ASSERT_EQ(compacted.packed().packed.size(), expect.packed().packed.size());
   for (std::size_t b = 0; b < compacted.packed().packed.size(); ++b) {

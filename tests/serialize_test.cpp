@@ -165,9 +165,11 @@ TEST_F(IvfSerializeTest, LoadedStoreMatchesByteForByte) {
     const RabitqCodeStore& b = loaded.list_codes(l);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_FLOAT_EQ(a.o_o(i), b.o_o(i));
-      EXPECT_FLOAT_EQ(a.dist_to_centroid(i), b.dist_to_centroid(i));
+      // o_o and dist_to_centroid, through their resident images.
+      EXPECT_FLOAT_EQ(a.f_inv_oo_data()[i], b.f_inv_oo_data()[i]);
+      EXPECT_FLOAT_EQ(a.f_cross_data()[i], b.f_cross_data()[i]);
       EXPECT_EQ(a.bit_count(i), b.bit_count(i));
+      EXPECT_EQ(a.factors(i), b.factors(i));
       std::vector<std::uint64_t> a_bits(a.words_per_code());
       std::vector<std::uint64_t> b_bits(b.words_per_code());
       a.UnpackPlane(i, 0, a_bits.data());

@@ -28,8 +28,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -386,6 +388,59 @@ TEST_F(ServerTest, LifecycleErrorsCrossTheWire) {
 
   EXPECT_TRUE(client.connected());
   EXPECT_TRUE(client.Ping().ok());
+}
+
+// Non-finite coordinates cross the wire as InvalidArgument: a NaN or inf
+// vector never enters a collection (create, add, update), and a NaN query
+// fails alone -- its batch neighbors still answer exactly as they would
+// by themselves.
+TEST_F(ServerTest, NonFiniteVectorsAreRejectedOverTheWire) {
+  Server server(BaseConfig());
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+  Matrix poisoned = data_;
+  poisoned.At(3, 5) = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(client.CreateCollection("p", Spec(Metric::kL2, 2), poisoned)
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(client.CreateCollection("c", Spec(Metric::kL2, 2), data_).ok());
+
+  std::vector<float> vec(queries_.Row(0), queries_.Row(0) + kDim);
+  vec[1] = kNaN;
+  EXPECT_EQ(client.Add("c", vec.data(), kDim, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.Update("c", 0, vec.data(), kDim).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.Search("c", vec.data(), kDim, SeededOptions(1)).status.code(),
+            StatusCode::kInvalidArgument);
+
+  Matrix batch(3, kDim);
+  for (std::size_t q = 0; q < 3; ++q) {
+    std::copy_n(queries_.Row(q), kDim, batch.Row(q));
+  }
+  batch.At(1, 0) = kNaN;
+  std::vector<SearchResponse> responses;
+  EXPECT_EQ(client
+                .BatchSearch("c", batch.data(), 3, kDim, SeededOptions(2),
+                             &responses)
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[1].status.code(), StatusCode::kInvalidArgument);
+  for (const std::size_t q : {std::size_t{0}, std::size_t{2}}) {
+    ASSERT_TRUE(responses[q].status.ok()) << responses[q].status.message();
+    const SearchResponse alone =
+        client.Search("c", batch.Row(q), kDim, SeededOptions(2));
+    ASSERT_TRUE(alone.ok());
+    ExpectSameNeighbors(alone.neighbors, responses[q].neighbors);
+    for (const Neighbor& nb : alone.neighbors) {
+      EXPECT_TRUE(std::isfinite(nb.first)) << "id " << nb.second;
+    }
+  }
+  EXPECT_TRUE(client.connected());
 }
 
 // Snapshot -> drop -> restore over the wire round-trips the collection

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -423,6 +424,36 @@ TEST_F(ShardedTest, BuildRejectsBadConfigs) {
   EXPECT_FALSE(index.Build(data_, config).ok());
   config.num_shards = ShardedIndex::kMaxShards + 1;
   EXPECT_FALSE(index.Build(data_, config).ok());
+}
+
+// A non-finite coordinate fails the sharded build under both clustering
+// modes, and a sharded search, add or update, before anything is touched.
+TEST_F(ShardedTest, RejectsNonFiniteVectors) {
+  Matrix poisoned = data_;
+  poisoned.At(9, 2) = std::numeric_limits<float>::quiet_NaN();
+  for (const ShardClustering clustering :
+       {ShardClustering::kShared, ShardClustering::kPerShard}) {
+    ShardedIndex index;
+    ShardedConfig config;
+    config.num_shards = 3;
+    config.clustering = clustering;
+    config.ivf.num_lists = kLists;
+    EXPECT_EQ(index.Build(poisoned, config).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index.num_shards(), 0u);
+  }
+  ShardedIndex index =
+      BuildSharded(3, ShardClustering::kShared, data_);
+  std::vector<float> vec(queries_.Row(0), queries_.Row(0) + kDim);
+  vec[4] = -std::numeric_limits<float>::infinity();
+  SearchOptions params;
+  params.k = 5;
+  EXPECT_EQ(index.Search({vec.data(), params}).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Update(1, vec.data()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.Add(vec.data()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.live_size(), kN);
+  EXPECT_EQ(index.num_tombstones(), 0u);
 }
 
 // Sharded snapshot round trip: mutate (deletes + updates + adds), save to a

@@ -1,18 +1,21 @@
 // Snapshot format compatibility: the committed v1 golden file (written by
 // the pre-lifecycle code, magic "RBQIVF01"), v2 golden file (written by
 // the pre-metric code, "RBQIVF02"), v3 golden file (written by the
-// pre-multi-bit code, "RBQIVF03", inner-product metric) and v4 golden file
-// (written by the pre-checksum code, "RBQIVF04", 2-bit codes) must keep
-// loading -- v1/v2 as kL2, v1-v3 with bits_per_dim = 1 -- and the current
-// v5 format ("RBQIVF05", which appends a CRC-32 footer over the body) must
-// round-trip a mutated index -- tombstones, stale update entries and all --
-// with bit-identical search results. The v5 golden file (4-bit codes,
-// tombstones and a stale update entry) pins the current format itself:
-// it re-saves byte-identically, and a fresh build from its recipe saves
-// the same bytes. The metric byte (offset 12) and the
+// pre-multi-bit code, "RBQIVF03", inner-product metric), v4 golden file
+// (written by the pre-checksum code, "RBQIVF04", 2-bit codes) and v5
+// golden file (the last per-code-record format, "RBQIVF05", 4-bit codes,
+// tombstones and a stale update entry) must keep loading -- v1/v2 as kL2,
+// v1-v3 with bits_per_dim = 1 -- and the current v6 format ("RBQIVF06",
+// code stores saved as they sit in memory, CRC-32 footer over the body)
+// must round-trip a mutated index -- tombstones, stale update entries and
+// all -- with bit-identical search results. The v6 golden file, written
+// from the v5 golden's recipe, pins the current format itself: it re-saves
+// byte-identically, a fresh build from the recipe saves the same bytes, and
+// the v5 golden re-saves to them too. The metric byte (offset 12) and the
 // rotator-kind byte (offset 40) are fuzzed explicitly: in-range values load
 // with that setting, out-of-range values fail closed before the rotator
-// rebuild. Body corruption under v5 is caught by the checksum.
+// rebuild. Truncations and bit flips run at 1 and 4 bits per dimension, and
+// body corruption is caught by the checksum.
 
 #include <gtest/gtest.h>
 
@@ -179,10 +182,13 @@ TEST(SnapshotCompatTest, V3GoldenFileLoadsWithMetricAndMatchesRebuild) {
       for (std::size_t w = 0; w < a.words_per_code(); ++w) {
         ASSERT_EQ(a_bits[w], b_bits[w]) << "list " << l;
       }
-      EXPECT_EQ(a.dist_to_centroid(i), b.dist_to_centroid(i));
-      EXPECT_EQ(a.o_o(i), b.o_o(i));
+      // dist_to_centroid, o_o and norm_sq, through their resident images
+      // (under inner product f_sq = (dist^2 - norm_sq) / 2).
+      EXPECT_EQ(a.f_cross_data()[i], b.f_cross_data()[i]);
+      EXPECT_EQ(a.f_inv_oo_data()[i], b.f_inv_oo_data()[i]);
       EXPECT_EQ(a.bit_count(i), b.bit_count(i));
-      EXPECT_EQ(a.norm_sq(i), b.norm_sq(i));
+      EXPECT_EQ(a.f_sq_data()[i], b.f_sq_data()[i]);
+      EXPECT_EQ(a.factors(i), b.factors(i));
     }
   }
 
@@ -211,8 +217,8 @@ TEST(SnapshotCompatTest, V3GoldenFileLoadsWithMetricAndMatchesRebuild) {
 // The v4 golden file (pre-checksum writer, 2-bit codes, inner product) pins
 // the multi-bit format: it must load with bits_per_dim = 2 and its metric,
 // search bit-identically to an in-test rebuild from the generator recipe,
-// and survive a current-format (v5, checksummed) re-save bit-identically.
-TEST(SnapshotCompatTest, V4GoldenFileLoadsAndSurvivesV5ReSave) {
+// and survive a current-format re-save bit-identically.
+TEST(SnapshotCompatTest, V4GoldenFileLoadsAndSurvivesCurrentReSave) {
   IvfRabitqIndex golden;
   const std::string path =
       std::string(RABITQ_TEST_DATA_DIR) + "/golden_v4.rbq";
@@ -247,22 +253,22 @@ TEST(SnapshotCompatTest, V4GoldenFileLoadsAndSurvivesV5ReSave) {
     ExpectSameNeighbors(want[q], got[q]);
   }
 
-  const std::string resaved = TempPath("golden_v4_as_v5.rbq");
+  const std::string resaved = TempPath("golden_v4_resaved.rbq");
   ASSERT_TRUE(golden.Save(resaved).ok());
-  IvfRabitqIndex v5;
-  ASSERT_TRUE(v5.Load(resaved).ok());
-  EXPECT_EQ(v5.metric(), Metric::kInnerProduct);
-  EXPECT_EQ(v5.encoder().config().bits_per_dim, 2u);
-  const auto after = SearchAll(v5, params);
+  IvfRabitqIndex current;
+  ASSERT_TRUE(current.Load(resaved).ok());
+  EXPECT_EQ(current.metric(), Metric::kInnerProduct);
+  EXPECT_EQ(current.encoder().config().bits_per_dim, 2u);
+  const auto after = SearchAll(current, params);
   for (std::size_t q = 0; q < want.size(); ++q) {
     ExpectSameNeighbors(want[q], after[q]);
   }
   std::remove(resaved.c_str());
 }
 
-// The golden_v5.rbq recipe: the v1 generator data at bits_per_dim = 4 under
-// kL2, then deletes of ids 0, 9, 18, ... and one update of id 5 (which
-// leaves a stale tombstoned entry in its old list).
+// The golden_v5.rbq (and golden_v6.rbq) recipe: the v1 generator data at
+// bits_per_dim = 4 under kL2, then deletes of ids 0, 9, 18, ... and one
+// update of id 5 (which leaves a stale tombstoned entry in its old list).
 void BuildGoldenV5Recipe(IvfRabitqIndex* index) {
   Rng rng(123);
   Matrix data(kGoldenN, kGoldenDim);
@@ -284,7 +290,11 @@ void BuildGoldenV5Recipe(IvfRabitqIndex* index) {
   ASSERT_TRUE(index->Update(5, vec.data()).ok());
 }
 
-TEST(SnapshotCompatTest, V5GoldenReSavesByteIdenticallyAndMatchesRebuild) {
+// The golden_v5.rbq file (per-code records of bits and primaries, the
+// last format before v6) loads, searches bit-identically to a fresh build
+// of its recipe on both estimator paths, and re-saves to exactly the v6
+// golden's bytes: the factors it derives are the ones the encoder makes.
+TEST(SnapshotCompatTest, V5GoldenLoadsMatchesRebuildAndReSavesAsV6) {
   const std::string path =
       std::string(RABITQ_TEST_DATA_DIR) + "/golden_v5.rbq";
   IvfRabitqIndex golden;
@@ -294,22 +304,59 @@ TEST(SnapshotCompatTest, V5GoldenReSavesByteIdenticallyAndMatchesRebuild) {
   EXPECT_EQ(golden.num_tombstones(), 24u);  // 23 deletes + 1 stale entry
   EXPECT_EQ(golden.metric(), Metric::kL2);
   EXPECT_EQ(golden.encoder().config().bits_per_dim, 4u);
+
+  IvfRabitqIndex rebuilt;
+  BuildGoldenV5Recipe(&rebuilt);
+  for (const bool batch : {true, false}) {
+    SearchOptions params;
+    params.k = 10;
+    params.nprobe = 4;
+    params.use_batch_estimator = batch;
+    const auto want = SearchAll(rebuilt, params);
+    const auto got = SearchAll(golden, params);
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      ExpectSameNeighbors(want[q], got[q]);
+    }
+  }
+
+  const std::string resaved = TempPath("golden_v5_as_v6.rbq");
+  ASSERT_TRUE(golden.Save(resaved).ok());
+  EXPECT_TRUE(ReadFileBytes(resaved) ==
+              ReadFileBytes(std::string(RABITQ_TEST_DATA_DIR) +
+                            "/golden_v6.rbq"))
+      << "re-saved v5 golden differs from the v6 golden";
+  std::remove(resaved.c_str());
+}
+
+// The golden_v6.rbq file pins the current format (written from the v5
+// recipe): it re-saves byte-identically, and a fresh build of the recipe
+// saves the same bytes and searches alike.
+TEST(SnapshotCompatTest, V6GoldenReSavesByteIdenticallyAndMatchesRebuild) {
+  const std::string path =
+      std::string(RABITQ_TEST_DATA_DIR) + "/golden_v6.rbq";
+  IvfRabitqIndex golden;
+  ASSERT_TRUE(golden.Load(path).ok()) << "cannot load v6 golden " << path;
+  EXPECT_EQ(golden.size(), kGoldenN);
+  EXPECT_EQ(golden.live_size(), kGoldenN - 23);
+  EXPECT_EQ(golden.num_tombstones(), 24u);
+  EXPECT_EQ(golden.metric(), Metric::kL2);
+  EXPECT_EQ(golden.encoder().config().bits_per_dim, 4u);
   const std::vector<unsigned char> golden_bytes = ReadFileBytes(path);
 
   // Load + Save reproduces the file byte for byte.
-  const std::string resaved = TempPath("golden_v5_resaved.rbq");
+  const std::string resaved = TempPath("golden_v6_resaved.rbq");
   ASSERT_TRUE(golden.Save(resaved).ok());
   EXPECT_TRUE(ReadFileBytes(resaved) == golden_bytes)
-      << "re-saved v5 golden differs from the committed file";
+      << "re-saved v6 golden differs from the committed file";
   std::remove(resaved.c_str());
 
   // A fresh build of the recipe saves the same bytes and searches alike.
   IvfRabitqIndex rebuilt;
   BuildGoldenV5Recipe(&rebuilt);
-  const std::string fresh = TempPath("golden_v5_fresh.rbq");
+  const std::string fresh = TempPath("golden_v6_fresh.rbq");
   ASSERT_TRUE(rebuilt.Save(fresh).ok());
   EXPECT_TRUE(ReadFileBytes(fresh) == golden_bytes)
-      << "fresh v5 build saves different bytes than the committed file";
+      << "fresh v6 build saves different bytes than the committed file";
   std::remove(fresh.c_str());
   for (const bool batch : {true, false}) {
     SearchOptions params;
@@ -472,7 +519,7 @@ void FixupChecksum(std::vector<unsigned char>* bytes) {
 
 // A small index with every lifecycle feature in the file: tombstones,
 // stale update entries, appends.
-IvfRabitqIndex BuildMutatedIndex() {
+IvfRabitqIndex BuildMutatedIndex(std::size_t bits_per_dim = 1) {
   Rng rng(404);
   Matrix data(150, 12);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -481,7 +528,9 @@ IvfRabitqIndex BuildMutatedIndex() {
   IvfRabitqIndex index;
   IvfConfig ivf;
   ivf.num_lists = 6;
-  EXPECT_TRUE(index.Build(data, ivf, RabitqConfig{}).ok());
+  RabitqConfig rabitq;
+  rabitq.bits_per_dim = bits_per_dim;
+  EXPECT_TRUE(index.Build(data, ivf, rabitq).ok());
   std::vector<float> vec(12);
   for (std::uint32_t id = 0; id < 150; id += 5) {
     EXPECT_TRUE(index.Delete(id).ok());
@@ -525,9 +574,16 @@ void ExpectLoadedIndexIsConsistent(const IvfRabitqIndex& index) {
   }
 }
 
-TEST(SnapshotFuzzTest, V2TruncationsFailClosed) {
+// Truncations and bit flips run at 1 and 4 bits per dimension, so they
+// also land in the low bit planes and the multi-bit factor arrays.
+class SnapshotFuzzWidthTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Widths, SnapshotFuzzWidthTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+TEST_P(SnapshotFuzzWidthTest, V2TruncationsFailClosed) {
   const std::string path = TempPath("fuzz_truncate.rbq");
-  ASSERT_TRUE(BuildMutatedIndex().Save(path).ok());
+  ASSERT_TRUE(BuildMutatedIndex(GetParam()).Save(path).ok());
   const std::vector<unsigned char> bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
 
@@ -553,9 +609,9 @@ TEST(SnapshotFuzzTest, V2TruncationsFailClosed) {
   std::remove(mutant.c_str());
 }
 
-TEST(SnapshotFuzzTest, V2BitFlipsNeverCrashAndHeaderFlipsFailClosed) {
+TEST_P(SnapshotFuzzWidthTest, V2BitFlipsNeverCrashAndHeaderFlipsFailClosed) {
   const std::string path = TempPath("fuzz_flip.rbq");
-  ASSERT_TRUE(BuildMutatedIndex().Save(path).ok());
+  ASSERT_TRUE(BuildMutatedIndex(GetParam()).Save(path).ok());
   const std::vector<unsigned char> bytes = ReadFileBytes(path);
 
   // Every bit of the header region (magic + version + config), then a
@@ -590,9 +646,11 @@ TEST(SnapshotFuzzTest, V2BitFlipsNeverCrashAndHeaderFlipsFailClosed) {
 
 // The v3 metric field (u32 at offset 12, right after magic + version) is
 // the headline bugfix surface: every in-range value loads an index SERVING
-// that metric (the factors are recomputed from the stored norms, so the
-// index stays self-consistent), every out-of-range value is rejected --
-// BEFORE the O(B^3) rotator rebuild ever runs.
+// that metric, every out-of-range value is rejected -- BEFORE the O(B^3)
+// rotator rebuild ever runs. (The v6 factors were derived under the
+// metric the file was written with, so a patched in-range value loads
+// with the writer's factor algebra; the index stays structurally
+// consistent, which is what this fuzzer checks.)
 TEST(SnapshotFuzzTest, V3MetricByteInRangeLoadsOutOfRangeFailsClosed) {
   const std::string path = TempPath("fuzz_metric.rbq");
   ASSERT_TRUE(BuildMutatedIndex().Save(path).ok());
