@@ -10,6 +10,7 @@
 //     buffers) vs the fused in-kernel-pruned single pass;
 //   * the bitwise source of a block's sums (B_q and+popcount passes per
 //     code, the path behind B_q >= 7), per code over the 4096-code list;
+//   * per-list query preparation (rotated path, B_q = 4), per probed list;
 //   * the bitwise single-code estimator (B_q and+popcount passes) vs PQ's
 //     LUT-in-RAM ADC (the paper reports ~3x in RaBitQ's favor);
 //   * the shared fast-scan LUT kernel, AVX2 vs scalar;
@@ -318,6 +319,48 @@ void RunBitwiseBlockBench(const ScanFixture& fx, std::vector<Row>* rows) {
                    "code"});
 }
 
+void RunQueryPrepareBench(const ScanFixture& fx, std::vector<Row>* rows) {
+  // Per-list query preparation on the rotated path at B_q = 4, as the IVF
+  // scan runs it for every probed list: subtract-and-scale, randomized
+  // rounding under a per-list generator, bit planes and nibble LUTs.
+  constexpr std::size_t kLists = 64;
+  const std::size_t b = fx.encoder.total_bits();
+  Rng rng(9);
+  std::vector<float> rotated_query(b);
+  std::vector<float> rotated_centroids(kLists * b);
+  std::vector<float> q_dists(kLists);
+  for (auto& v : rotated_query) v = static_cast<float>(rng.Gaussian());
+  for (std::size_t l = 0; l < kLists; ++l) {
+    float dist_sq = 0.0f;
+    for (std::size_t i = 0; i < b; ++i) {
+      const float c = static_cast<float>(rng.Gaussian()) * 0.5f;
+      rotated_centroids[l * b + i] = c;
+      dist_sq += (rotated_query[i] - c) * (rotated_query[i] - c);
+    }
+    q_dists[l] = std::sqrt(dist_sq);
+  }
+  QuantizedQuery qq;
+  rows->push_back(
+      {"query_prepare",
+       NsPerOp(
+           [&] {
+             for (std::size_t l = 0; l < kLists; ++l) {
+               Rng list_rng(MixSeed(7, l));
+               if (!PrepareQueryFromRotated(
+                        fx.encoder, rotated_query.data(),
+                        rotated_centroids.data() + l * b, q_dists[l],
+                        &list_rng, &qq)
+                        .ok()) {
+                 std::fprintf(stderr, "[bench] query preparation failed\n");
+                 std::exit(1);
+               }
+               g_sink_u = g_sink_u + qq.sum_qu;
+             }
+           },
+           kLists),
+       "list"});
+}
+
 void RunSingleCodeBenches(std::vector<Row>* rows) {
   constexpr int kBq = 4;
   const std::size_t words = WordsForBits(kBits);
@@ -451,6 +494,7 @@ int Run(int argc, char** argv) {
                      &speedup_assemble_vs_legacy);
   RunScanBenches(fx, &rows, &speedup_scan);
   RunBitwiseBlockBench(fx, &rows);
+  RunQueryPrepareBench(fx, &rows);
   RunSingleCodeBenches(&rows);
   RunFastScanBenches(&rows);
   RunRotatorBenches(&rows);

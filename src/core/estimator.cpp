@@ -16,6 +16,16 @@ namespace rabitq {
 
 namespace {
 
+// Per-thread word buffer for the bitwise sources, which unpack packed
+// planes into plain words. It only grows, so after the first call at a
+// given code length they allocate nothing. Leaf use only: no caller holds
+// the pointer across another call that takes it.
+std::uint64_t* WordScratch(std::size_t words) {
+  thread_local std::vector<std::uint64_t> scratch;
+  if (scratch.size() < words) scratch.resize(words);
+  return scratch.data();
+}
+
 // Every lane is assembled in two steps written so that each operation maps
 // 1:1 onto the AVX2 kernels below (explicit std::fma <-> fmadd/fnmadd, lone
 // mul/add <-> mul_ps/add_ps). The explicit fma calls are not just speed:
@@ -308,11 +318,11 @@ inline std::uint32_t FusedBlockDispatch(const QuantizedQuery& query,
 DistanceEstimate EstimateSingle(const QuantizedQuery& query,
                                 const RabitqCodeStore& store, std::size_t i,
                                 float f_inv_oo, float epsilon0) {
-  std::vector<std::uint64_t> bits(store.words_per_code());
-  store.UnpackPlane(i, store.bits_per_dim() - 1, bits.data());
+  std::uint64_t* bits = WordScratch(store.words_per_code());
+  store.UnpackPlane(i, store.bits_per_dim() - 1, bits);
   const CodeFactors f = store.factors(i);
   DistanceEstimate est;
-  est.ip = XQbar1(static_cast<float>(BitwiseDotQuery(query, bits.data())),
+  est.ip = XQbar1(static_cast<float>(BitwiseDotQuery(query, bits)),
                   static_cast<float>(f.bit_count), query) *
            f_inv_oo;
   FinishLane(est.ip, f.f_sq, f.f_cross, f.f_err, query, epsilon0,
@@ -380,11 +390,11 @@ std::uint32_t EstimateBlockFusedPrunedScalar(
 std::uint32_t BitwiseDotQueryMulti(const QuantizedQuery& query,
                                    const RabitqCodeStore& store,
                                    std::size_t i) {
-  std::vector<std::uint64_t> plane(store.words_per_code());
+  std::uint64_t* plane = WordScratch(store.words_per_code());
   std::uint32_t s = 0;
   for (std::size_t p = 0; p < store.bits_per_dim(); ++p) {
-    store.UnpackPlane(i, p, plane.data());
-    s += BitwiseDotQuery(query, plane.data()) << p;
+    store.UnpackPlane(i, p, plane);
+    s += BitwiseDotQuery(query, plane) << p;
   }
   return s;
 }
@@ -469,11 +479,11 @@ void AccumulateBlockSums(const QuantizedQuery& query,
   }
   const std::size_t begin = block * kFastScanBlockSize;
   const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
-  const std::size_t sign_plane = store.bits_per_dim() - 1;
-  std::vector<std::uint64_t> bits(store.words_per_code());
+  const std::size_t words = store.words_per_code();
+  std::uint64_t* bits = WordScratch(kFastScanBlockSize * words);
+  store.UnpackBlockPlane(block, store.bits_per_dim() - 1, bits);
   for (std::size_t k = 0; k < count; ++k) {
-    store.UnpackPlane(begin + k, sign_plane, bits.data());
-    sums[k] = BitwiseDotQuery(query, bits.data());
+    sums[k] = BitwiseDotQuery(query, bits + k * words);
   }
 }
 

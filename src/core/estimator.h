@@ -175,8 +175,9 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
 /// Fills `sums` with <x_b, q-bar_u> for block `block`'s lanes (lanes past
 /// size() on the tail block are left untouched). `fast_scan` selects the
 /// fast-scan LUT kernel, which requires query.has_exact_luts; otherwise
-/// each lane unpacks its sign plane and takes B_q bitwise passes
-/// (BitwiseDotQuery), which works at any B_q. The two sources are equal.
+/// the block's sign plane is unpacked in one pass and each lane takes B_q
+/// bitwise passes (BitwiseDotQuery), which works at any B_q. The two
+/// sources are equal.
 void AccumulateBlockSums(const QuantizedQuery& query,
                          const RabitqCodeStore& store, std::size_t block,
                          bool fast_scan, std::uint32_t* sums);

@@ -7,6 +7,15 @@
 //   B/4 nibble LUTs over q-bar_u                  (Section 3.3.2 batch path)
 // and the scalar factors of Eq. 20. The cost is shared by every data vector
 // scanned under this centroid.
+//
+// The rounding dithers are a counter-keyed stream (quant/scalar_quantizer.h):
+// each preparation draws ONE 64-bit key from the caller's Rng and dimension
+// i's dither is DitherUniform(key, i). The IVF scan seeds one Rng per
+// (query seed, list), so a list's rounding is a pure function of that pair.
+// Theorem 3.3 needs only uniform, independent dithers; the stream's tests
+// check both. Preparation allocates nothing once the struct's buffers have
+// capacity, and the planes and LUTs are built with AVX2 where available
+// (byte-identical to the scalar fallback).
 
 #ifndef RABITQ_CORE_QUERY_H_
 #define RABITQ_CORE_QUERY_H_
@@ -67,10 +76,11 @@ struct QuantizedQuery {
   AlignedVector<std::uint8_t> luts;
   bool has_exact_luts = false;
 
-  // Workspace for the rotated unit residual q' (B floats), not an output.
-  // Lives in the struct so that reusing one QuantizedQuery across probes and
-  // queries (as the serving engine's per-worker scratch does) makes the
-  // Prepare* calls allocation-free once capacity is established.
+  // Workspace for the rotated unit residual q' (B floats after a Prepare*
+  // call; zeros for a degenerate query), not an output. Lives in the struct
+  // so that reusing one QuantizedQuery across probes and queries (as the
+  // serving engine's per-worker scratch does) makes the Prepare* calls
+  // allocation-free once capacity is established.
   AlignedVector<float> unit_scratch;
 
   const std::uint64_t* Plane(int j) const {
@@ -79,8 +89,9 @@ struct QuantizedQuery {
 };
 
 /// Builds the quantized query for `query_raw` against `centroid` (nullptr =
-/// origin). `rng` drives the randomized rounding; reusing one generator
-/// across queries keeps rounding independent, as Theorem 3.3 assumes.
+/// origin). `rng` supplies the randomized rounding's dither key (one
+/// NextU64 per call); reusing one generator across queries keeps rounding
+/// independent, as Theorem 3.3 assumes.
 /// `query_bits_override` > 0 replaces the encoder's configured B_q (used by
 /// the Fig. 6 sweep; codes are B_q-independent so no re-encoding is needed).
 ///

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "linalg/vector_ops.h"
 #include "util/serialize.h"
 
@@ -109,6 +113,82 @@ void RabitqCodeStore::UnpackPlane(std::size_t i, std::size_t p,
     }
     out[w] = word;
   }
+}
+
+void RabitqCodeStore::UnpackBlockPlane(std::size_t block, std::size_t p,
+                                       std::uint64_t* out) const {
+  const std::uint8_t* rows = planes_[p].BlockPtr(block);
+  const std::size_t words = words_per_code_;
+  // Word w of every lane gathers segment rows [16w, 16w + 16): row byte k
+  // carries lane k's nibble low and lane k + 16's high, so byte b of lane
+  // k's word joins rows 16w + 2b and 16w + 2b + 1.
+#if defined(__AVX2__)
+  // Per word: build the 8 bytes of all 32 lanes (lanes 0-15 in the low
+  // 128-bit half, 16-31 in the high half), then transpose the 8 x 16 byte
+  // matrix of each half with three unpack stages.
+  const __m256i low_nibbles = _mm256_set1_epi8(0x0F);
+  const __m256i high_nibbles = _mm256_set1_epi8(static_cast<char>(0xF0));
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint8_t* word_rows = rows + w * 16 * 16;
+    __m256i bytes[8];
+    for (int b = 0; b < 8; ++b) {
+      const __m128i even = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(word_rows + (2 * b) * 16));
+      const __m128i odd = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(word_rows + (2 * b + 1) * 16));
+      const __m256i first = _mm256_and_si256(
+          _mm256_set_m128i(_mm_srli_epi16(even, 4), even), low_nibbles);
+      const __m256i second = _mm256_and_si256(
+          _mm256_set_m128i(odd, _mm_slli_epi16(odd, 4)), high_nibbles);
+      bytes[b] = _mm256_or_si256(first, second);
+    }
+    // t[2i + h]: byte pairs (2i, 2i + 1) of lanes 8h .. 8h + 7.
+    __m256i t[8];
+    for (int i = 0; i < 4; ++i) {
+      t[2 * i] = _mm256_unpacklo_epi8(bytes[2 * i], bytes[2 * i + 1]);
+      t[2 * i + 1] = _mm256_unpackhi_epi8(bytes[2 * i], bytes[2 * i + 1]);
+    }
+    for (int h = 0; h < 2; ++h) {
+      // Bytes 0-3 and 4-7 of lanes 8h .. 8h + 3, then of 8h + 4 .. 8h + 7.
+      const __m256i u0 = _mm256_unpacklo_epi16(t[h], t[2 + h]);
+      const __m256i u1 = _mm256_unpackhi_epi16(t[h], t[2 + h]);
+      const __m256i u2 = _mm256_unpacklo_epi16(t[4 + h], t[6 + h]);
+      const __m256i u3 = _mm256_unpackhi_epi16(t[4 + h], t[6 + h]);
+      const __m256i pairs[4] = {
+          _mm256_unpacklo_epi32(u0, u2), _mm256_unpackhi_epi32(u0, u2),
+          _mm256_unpacklo_epi32(u1, u3), _mm256_unpackhi_epi32(u1, u3)};
+      for (int j = 0; j < 4; ++j) {
+        // Whole words of lanes k, k + 1 (low half) and k + 16, k + 17.
+        const std::size_t k = 8 * h + 2 * j;
+        const __m128i lo = _mm256_castsi256_si128(pairs[j]);
+        const __m128i hi = _mm256_extracti128_si256(pairs[j], 1);
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + k * words + w), lo);
+        _mm_storeh_pd(reinterpret_cast<double*>(out + (k + 1) * words + w),
+                      _mm_castsi128_pd(lo));
+        _mm_storel_epi64(
+            reinterpret_cast<__m128i*>(out + (k + 16) * words + w), hi);
+        _mm_storeh_pd(reinterpret_cast<double*>(out + (k + 17) * words + w),
+                      _mm_castsi128_pd(hi));
+      }
+    }
+  }
+#else
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t low[16] = {};
+    std::uint64_t high[16] = {};
+    for (std::size_t r = 0; r < 16; ++r) {
+      const std::uint8_t* row = rows + (w * 16 + r) * 16;
+      for (std::size_t k = 0; k < 16; ++k) {
+        low[k] |= static_cast<std::uint64_t>(row[k] & 0xF) << (4 * r);
+        high[k] |= static_cast<std::uint64_t>(row[k] >> 4) << (4 * r);
+      }
+    }
+    for (std::size_t k = 0; k < 16; ++k) {
+      out[k * words + w] = low[k];
+      out[(k + 16) * words + w] = high[k];
+    }
+  }
+#endif
 }
 
 CodeFactors RabitqCodeStore::factors(std::size_t i) const {

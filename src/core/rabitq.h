@@ -181,6 +181,13 @@ class RabitqCodeStore {
   /// (the 1-bit code x_b), p < bits_per_dim() - 1 the low planes.
   void UnpackPlane(std::size_t i, std::size_t p, std::uint64_t* out) const;
 
+  /// Unpacks bit plane `p` of all kFastScanBlockSize lanes of block `block`
+  /// in one pass over its 16-byte segment rows: lane k's words land at
+  /// out + k * words_per_code(). Lanes past size() on the tail block come
+  /// out as whatever the packed padding holds; callers read lanes < size().
+  void UnpackBlockPlane(std::size_t block, std::size_t p,
+                        std::uint64_t* out) const;
+
   /// Code `i`'s resident factors, gathered from the SoA arrays.
   CodeFactors factors(std::size_t i) const;
 

@@ -83,8 +83,9 @@ struct EngineConfig {
   /// (rebuilding a 3-entry list over one tombstone is churn, not progress).
   std::size_t compaction_min_dead = 32;
   /// Per-stage trace sampling: one query in `trace_sample_period` records
-  /// spans (queue wait, preprocess, probe order, scan, re-rank, merge) into
-  /// the per-stage latency histograms. The decision is a pure function of
+  /// spans (queue wait, preprocess, probe order, scan, re-rank, merge,
+  /// per-list query preparation) into the per-stage latency histograms.
+  /// The decision is a pure function of
   /// the query's resolved seed (obs::SampleTrace), so the traced subset is
   /// deterministic across runs and shard counts. 0 disables tracing;
   /// 1 traces every query. Untraced queries pay one seed mix and a few

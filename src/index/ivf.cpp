@@ -377,10 +377,12 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
   std::vector<float>& mlb_buf = scratch->mlb_buf;
   if (multi) mlb_buf.resize(padded);
 
-  // Scan span = (list loop + result extraction) minus the re-rank time
-  // accumulated inside; the two stages tile the post-preprocess pipeline.
+  // Scan span = (list loop + result extraction) minus the re-rank and
+  // per-list query preparation time accumulated inside; the three stages
+  // tile the post-preprocess pipeline.
   TraceClock::time_point scan_start;
   std::uint64_t rerank_ns = 0;
+  std::uint64_t prepare_ns = 0;
   if (trace != nullptr) scan_start = TraceClock::now();
 
   for (std::size_t p = 0; p < nprobe; ++p) {
@@ -406,9 +408,11 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
             ? std::sqrt(std::max(0.0f, order[p].first))
             : std::sqrt(std::max(
                   0.0f, L2SqrDistance(query, centroids_.Row(list_id), dim())));
+    if (trace != nullptr) span_start = TraceClock::now();
     RABITQ_RETURN_IF_ERROR(PrepareQueryFromRotated(
         encoder_, rotated_query, rotated_centroids_.Row(list_id), q_dist,
         &list_rng, &qq, /*query_bits_override=*/0, metric_, query_norm_sq));
+    if (trace != nullptr) prepare_ns += NanosSince(span_start);
     const std::size_t n = list.ids.size();
     // Where a block's sums come from: the fast-scan LUT kernel when the
     // query's u8 LUTs are lossless (B_q <= 6), B_q bitwise passes per lane
@@ -547,9 +551,11 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
   }
   if (trace != nullptr) {
     const std::uint64_t total_ns = NanosSince(scan_start);
+    const std::uint64_t inner_ns = rerank_ns + prepare_ns;
     trace->AddNanos(obs::Stage::kScan,
-                    total_ns > rerank_ns ? total_ns - rerank_ns : 0);
+                    total_ns > inner_ns ? total_ns - inner_ns : 0);
     trace->AddNanos(obs::Stage::kRerank, rerank_ns);
+    trace->AddNanos(obs::Stage::kQueryPrepare, prepare_ns);
   }
   if (stats != nullptr) *stats = local_stats;
   // The extraction above ran regardless: a deadline trip returns everything

@@ -27,12 +27,14 @@ enum class Stage : std::uint8_t {
   kQueueWait = 0,   // admission (any search) -> batch execution start
   kPreprocess = 1,  // gather + batched query rotation (P^T q)
   kProbeOrder = 2,  // centroid distances + nprobe-prefix ordering
-  kScan = 3,        // fused estimate+prune over probed lists (minus re-rank)
+  kScan = 3,        // fused estimate+prune over probed lists (minus re-rank
+                    // and query preparation)
   kRerank = 4,      // exact distance computations on surviving candidates
   kMerge = 5,       // sharded gather: merge of per-shard candidate sets
+  kQueryPrepare = 6,  // per probed list: quantize the query, planes, LUTs
 };
 
-inline constexpr int kNumStages = 6;
+inline constexpr int kNumStages = 7;
 
 inline const char* StageName(Stage stage) {
   switch (stage) {
@@ -42,6 +44,7 @@ inline const char* StageName(Stage stage) {
     case Stage::kScan: return "scan";
     case Stage::kRerank: return "rerank";
     case Stage::kMerge: return "merge";
+    case Stage::kQueryPrepare: return "query_prepare";
   }
   return "unknown";
 }

@@ -117,6 +117,10 @@ TEST_F(ObsTracingTest, SinkReceivesEveryQueryAtPeriodOne) {
     EXPECT_GT(captured[i].ns[static_cast<int>(obs::Stage::kProbeOrder)], 0u);
     EXPECT_GT(captured[i].ns[static_cast<int>(obs::Stage::kScan)], 0u);
     EXPECT_GT(captured[i].ns[static_cast<int>(obs::Stage::kPreprocess)], 0u);
+    // Each probed list's query preparation is its own span, split out of
+    // the scan.
+    EXPECT_GT(captured[i].ns[static_cast<int>(obs::Stage::kQueryPrepare)],
+              0u);
     // SearchBatch goes through the request queue like SubmitAsync: every
     // query records its queue wait (submit -> batch start).
     EXPECT_GT(captured[i].ns[static_cast<int>(obs::Stage::kQueueWait)], 0u);
@@ -130,6 +134,11 @@ TEST_F(ObsTracingTest, SinkReceivesEveryQueryAtPeriodOne) {
   ASSERT_NE(scan_hist, nullptr);
   EXPECT_EQ(scan_hist->hist.count, kNumQueries);
   EXPECT_GT(scan_hist->hist.sum, 0.0);
+  const obs::MetricValue* prepare_hist =
+      metrics.Find("rabitq_stage_query_prepare_us");
+  ASSERT_NE(prepare_hist, nullptr);
+  EXPECT_EQ(prepare_hist->hist.count, kNumQueries);
+  EXPECT_GT(prepare_hist->hist.sum, 0.0);
 }
 
 TEST_F(ObsTracingTest, AsyncSubmissionRecordsQueueWait) {

@@ -280,6 +280,45 @@ TEST(RabitqCodeStoreTest, AppendedPlanesMatchRepack) {
   }
 }
 
+// The bitwise block source unpacks a whole block's plane in one pass; it
+// must give every real lane exactly the words UnpackPlane gives that code,
+// at every plane, at one and several words per code, on a tail block too.
+TEST(RabitqCodeStoreTest, BlockUnpackMatchesPerCodeUnpack) {
+  Rng rng(99);
+  for (const std::size_t total_bits : {64u, 128u, 320u}) {
+    const std::size_t words = WordsForBits(total_bits);
+    RabitqCodeStore store;
+    store.Init(total_bits, Metric::kL2, /*bits_per_dim=*/4);
+    for (std::size_t i = 0; i < 45; ++i) {
+      std::vector<std::uint64_t> planes(4 * words);
+      for (auto& w : planes) w = rng.NextU64();
+      CodePrimaries primaries;
+      primaries.dist_to_centroid = 1.0f;
+      primaries.o_o = 0.8f;
+      primaries.m_o_o = 0.9f;
+      store.Append(planes.data(),
+                   DeriveFactors(primaries, Metric::kL2, total_bits));
+    }
+    std::vector<std::uint64_t> block_words(kFastScanBlockSize * words);
+    std::vector<std::uint64_t> code_words(words);
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t block = 0; block < 2; ++block) {
+        store.UnpackBlockPlane(block, p, block_words.data());
+        for (std::size_t k = 0; k < kFastScanBlockSize; ++k) {
+          const std::size_t i = block * kFastScanBlockSize + k;
+          if (i >= store.size()) break;
+          store.UnpackPlane(i, p, code_words.data());
+          for (std::size_t w = 0; w < words; ++w) {
+            ASSERT_EQ(block_words[k * words + w], code_words[w])
+                << "B " << total_bits << " plane " << p << " code " << i
+                << " word " << w;
+          }
+        }
+      }
+    }
+  }
+}
+
 // Every code-creation path of an index -- build, Add, Update, compaction,
 // snapshot Load -- leaves each list's packed planes equal to a repack.
 TEST(RabitqCodeStoreTest, IndexPlanesMatchRepackAcrossLifecycle) {

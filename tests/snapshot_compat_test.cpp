@@ -496,8 +496,12 @@ TEST(SnapshotCompatTest, HeavilyUpdatedTinyIndexRoundTrips) {
 // vector data has no checksum), load an index that still upholds its own
 // invariants and can serve a search.
 
+// Unlinks the path first: truncating a file that already holds data makes
+// ext4 flush it on close, which turned each fuzz mutant into a blocking
+// disk write. A fresh inode carries no such flush.
 void WriteFileBytes(const std::string& path,
                     const std::vector<unsigned char>& bytes) {
+  std::remove(path.c_str());
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
