@@ -78,11 +78,12 @@ void RunRabitq(const Matrix& base, const Matrix& queries, const Matrix& truth,
 
   Matrix estimates(queries.rows(), base.rows());
   std::vector<float> rotated_query(index.encoder().total_bits());
+  std::vector<std::pair<float, std::uint32_t>> order;
   for (const bool batch : {false, true}) {
     Rng rng(77);
     WallTimer timer;
     for (std::size_t q = 0; q < queries.rows(); ++q) {
-      const auto order = index.ProbeOrderWithDistances(queries.Row(q));
+      index.ProbeOrderInto(queries.Row(q), index.num_lists(), &order);
       RotateQueryOnce(index.encoder(), queries.Row(q), rotated_query.data());
       for (const auto& [centroid_dist_sq, l] : order) {
         const auto& ids = index.list_ids(l);

@@ -303,15 +303,17 @@ void RunScanBenches(const ScanFixture& fx, std::vector<Row>* rows,
 
 void RunBitwiseBlockBench(const ScanFixture& fx, std::vector<Row>* rows) {
   // The Eq. 22 source of a block's sums: B_q bitwise and+popcount passes
-  // per code. Taken only at B_q >= 7 or with the batch estimator off.
+  // per code, which the scan takes at B_q >= 7 (no lossless LUTs). A copy
+  // of the B_q = 4 query without its LUT flag takes that path here.
   const std::size_t num_blocks = fx.store.packed().num_blocks;
+  QuantizedQuery bitwise = fx.query;
+  bitwise.has_exact_luts = false;
   rows->push_back({"bitwise_block",
                    NsPerOp(
                        [&] {
                          std::uint32_t sums[kFastScanBlockSize];
                          for (std::size_t b = 0; b < num_blocks; ++b) {
-                           AccumulateBlockSums(fx.query, fx.store, b,
-                                               /*fast_scan=*/false, sums);
+                           AccumulateBlockSums(bitwise, fx.store, b, sums);
                            g_sink_u = g_sink_u + sums[b % kFastScanBlockSize];
                          }
                        },

@@ -54,10 +54,11 @@ int main() {
     RelativeErrorAccumulator err;
     std::vector<float> rotated_query(index.encoder().total_bits());
     std::vector<float> estimates;
+    std::vector<std::pair<float, std::uint32_t>> order;
     for (std::size_t q = 0; q < queries.rows(); ++q) {
       RotateQueryOnce(index.encoder(), queries.Row(q), rotated_query.data());
-      for (const auto& [dist_sq, l] :
-           index.ProbeOrderWithDistances(queries.Row(q))) {
+      index.ProbeOrderInto(queries.Row(q), index.num_lists(), &order);
+      for (const auto& [dist_sq, l] : order) {
         const auto& ids = index.list_ids(l);
         if (ids.empty()) continue;
         QuantizedQuery qq;

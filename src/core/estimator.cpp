@@ -26,6 +26,29 @@ std::uint64_t* WordScratch(std::size_t words) {
   return scratch.data();
 }
 
+// <x_b, q-bar_u> via B_q bitwise-and + popcount passes (Eq. 22).
+std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
+                              const std::uint64_t* code_bits) {
+  return BitPlaneDot(code_bits, query.bit_planes.data(),
+                     static_cast<std::size_t>(query.query_bits),
+                     query.num_words);
+}
+
+// The bitwise source of <plane p, q-bar_u> for all kFastScanBlockSize lanes
+// of block `block` (padding lanes of a tail block included): one unpack of
+// the block's plane, then B_q bitwise passes per lane. Equal to the
+// fast-scan LUT sums of the same plane.
+void BitwisePlaneSums(const QuantizedQuery& query,
+                      const RabitqCodeStore& store, std::size_t block,
+                      std::size_t p, std::uint32_t* sums) {
+  const std::size_t words = store.words_per_code();
+  std::uint64_t* bits = WordScratch(kFastScanBlockSize * words);
+  store.UnpackBlockPlane(block, p, bits);
+  for (std::size_t k = 0; k < kFastScanBlockSize; ++k) {
+    sums[k] = BitwiseDotQuery(query, bits + k * words);
+  }
+}
+
 // Every lane is assembled in two steps written so that each operation maps
 // 1:1 onto the AVX2 kernels below (explicit std::fma <-> fmadd/fnmadd, lone
 // mul/add <-> mul_ps/add_ps). The explicit fma calls are not just speed:
@@ -338,13 +361,6 @@ DistanceEstimate EstimateSingle(const QuantizedQuery& query,
 
 }  // namespace
 
-std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
-                              const std::uint64_t* code_bits) {
-  return BitPlaneDot(code_bits, query.bit_planes.data(),
-                     static_cast<std::size_t>(query.query_bits),
-                     query.num_words);
-}
-
 DistanceEstimate EstimateDistance(const QuantizedQuery& query,
                                   const RabitqCodeStore& store, std::size_t i,
                                   float epsilon0) {
@@ -387,35 +403,6 @@ std::uint32_t EstimateBlockFusedPrunedScalar(
   return FoldAliveMask(mask, dead, count, lane_mask);
 }
 
-std::uint32_t BitwiseDotQueryMulti(const QuantizedQuery& query,
-                                   const RabitqCodeStore& store,
-                                   std::size_t i) {
-  std::uint64_t* plane = WordScratch(store.words_per_code());
-  std::uint32_t s = 0;
-  for (std::size_t p = 0; p < store.bits_per_dim(); ++p) {
-    store.UnpackPlane(i, p, plane);
-    s += BitwiseDotQuery(query, plane) << p;
-  }
-  return s;
-}
-
-DistanceEstimate EstimateDistanceMulti(const QuantizedQuery& query,
-                                       const RabitqCodeStore& store,
-                                       std::size_t i, float epsilon0) {
-  const std::uint32_t s = BitwiseDotQueryMulti(query, store, i);
-  const CodeFactors f = store.factors(i);
-  DistanceEstimate est;
-  // Shares XQbarMulti and FinishLane with the block kernels, so the
-  // single-code path is bit-identical to the fused ones by construction.
-  est.ip = XQbarMulti(static_cast<float>(s), f.m_code_sum, f.m_alpha,
-                      f.m_beta, query) *
-           f.m_inv_oo;
-  FinishLane(est.ip, f.f_sq, f.f_cross, f.m_err, query, epsilon0,
-             &est.dist_sq, &est.lower_bound_sq);
-  est.ip_error = epsilon0 > 0.0f ? f.m_err * epsilon0 : 0.0f;
-  return est;
-}
-
 void AccumulateMultiBlockSums(const QuantizedQuery& query,
                               const RabitqCodeStore& store, std::size_t block,
                               const std::uint32_t* sign_sums,
@@ -425,6 +412,17 @@ void AccumulateMultiBlockSums(const QuantizedQuery& query,
     multi_sums[k] = sign_sums[k] << top;
   }
   std::uint32_t tmp[kFastScanBlockSize];
+  // The source is picked once per block, outside the plane loop, so the
+  // LUT loop carries no per-plane branch.
+  if (!query.has_exact_luts) {
+    for (std::size_t j = 0; j < top; ++j) {
+      BitwisePlaneSums(query, store, block, j, tmp);
+      for (std::size_t k = 0; k < kFastScanBlockSize; ++k) {
+        multi_sums[k] += tmp[k] << j;
+      }
+    }
+    return;
+  }
   for (std::size_t j = 0; j < top; ++j) {
     const FastScanCodes& packed = store.extra_packed(j);
     FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
@@ -470,21 +468,14 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
 
 void AccumulateBlockSums(const QuantizedQuery& query,
                          const RabitqCodeStore& store, std::size_t block,
-                         bool fast_scan, std::uint32_t* sums) {
-  if (fast_scan) {
+                         std::uint32_t* sums) {
+  if (query.has_exact_luts) {
     const FastScanCodes& packed = store.packed();
     FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
                             query.luts.data(), sums);
     return;
   }
-  const std::size_t begin = block * kFastScanBlockSize;
-  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
-  const std::size_t words = store.words_per_code();
-  std::uint64_t* bits = WordScratch(kFastScanBlockSize * words);
-  store.UnpackBlockPlane(block, store.bits_per_dim() - 1, bits);
-  for (std::size_t k = 0; k < count; ++k) {
-    sums[k] = BitwiseDotQuery(query, bits + k * words);
-  }
+  BitwisePlaneSums(query, store, block, store.bits_per_dim() - 1, sums);
 }
 
 void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block) {
@@ -512,14 +503,13 @@ void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds) {
   // No pruning here (+inf threshold); the dispatcher's scalar tail writes
   // exactly the partial block's lanes, so results land in place.
-  const bool fast_scan = query.has_exact_luts;
   const std::size_t num_blocks =
       (store.size() + kFastScanBlockSize - 1) / kFastScanBlockSize;
   std::uint32_t sums[kFastScanBlockSize];
   for (std::size_t block = 0; block < num_blocks; ++block) {
     const std::size_t begin = block * kFastScanBlockSize;
     PrefetchBlockData(store, block + 1);
-    AccumulateBlockSums(query, store, block, fast_scan, sums);
+    AccumulateBlockSums(query, store, block, sums);
     float* const lb = lower_bounds == nullptr ? nullptr : lower_bounds + begin;
     FusedBlockDispatch(query, store, block, sums, epsilon0,
                        std::numeric_limits<float>::infinity(), dist_sq + begin,

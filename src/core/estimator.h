@@ -16,16 +16,18 @@
 // are L2-only and gated on query.metric identically in every path.
 // Two ways to compute the integer <x_b, q-bar_u> -- B_q bitwise and+popcount
 // passes (Eq. 22), or the fast-scan LUT kernel (Section 3.3.2, lossless
-// only when query.has_exact_luts, i.e. B_q <= 6) -- and one assembly:
-//   * single code: EstimateDistance (1-bit) and EstimateDistanceMulti
-//     (B_d-bit), plus EstimateDistanceBiased, the uncorrected Table 7
-//     ablation; always bitwise;
-//   * block of 32 codes: AccumulateBlockSums picks the source of the
-//     block's sums, then a fused float assembly: EstimateBlockFusedPruned
-//     (1-bit) and EstimateBlockMultiPruned (the B_d-bit refine, fed by
-//     AccumulateMultiBlockSums or per-lane BitwiseDotQueryMulti), each with
-//     a bit-exact *Scalar reference.
-// EstimateAll runs the block path over a whole store.
+// only when query.has_exact_luts, i.e. B_q <= 6). The query picks: every
+// block sum comes from the LUTs exactly when has_exact_luts, from bitwise
+// passes otherwise. The entry points:
+//   * single code, always bitwise: EstimateDistance (1-bit) and
+//     EstimateDistanceBiased, the uncorrected Table 7 ablation;
+//   * block of 32 codes: AccumulateBlockSums (sign plane) and
+//     AccumulateMultiBlockSums (the weighted B_d-bit sum) fill the block's
+//     sums, then a fused float assembly: EstimateBlockFusedPruned (1-bit)
+//     and EstimateBlockMultiPruned (the B_d-bit refine), each with a
+//     bit-exact *Scalar reference; PrefetchBlockData streams the next
+//     block in;
+//   * whole store: EstimateAll runs the 1-bit block path over it.
 //
 // The kernels read only the store's packed planes and its resident
 // factors: bit_count, f_sq, f_cross, f_inv_oo and f_err for the 1-bit
@@ -55,10 +57,6 @@ struct DistanceEstimate {
   float lower_bound_sq = 0.0f; // dist_sq lower bound at confidence eps0
   float ip_error = 0.0f;       // half-width of the <o,q> confidence interval
 };
-
-/// <x_b, q-bar_u> via B_q bitwise-and + popcount passes (Eq. 22).
-std::uint32_t BitwiseDotQuery(const QuantizedQuery& query,
-                              const std::uint64_t* code_bits);
 
 /// Full single-code estimate of code `i` of `store`. `epsilon0` <= 0 skips
 /// the bound computation (lower_bound_sq = dist_sq).
@@ -121,26 +119,13 @@ std::uint32_t EstimateBlockFusedPrunedScalar(
 // followed by the same cross/base/bound arithmetic as the 1-bit lane, using
 // the tighter m_inv_oo / m_err factors. Fused AVX2 and scalar reference
 // follow the 1-bit discipline: identical operation order per lane, so they
-// agree bit-for-bit with each other and with the single-code path (tested).
+// agree bit-for-bit with each other (tested).
 
-/// Weighted bitwise dot for a multi-bit code: S = sum_j 2^j <plane_j, qu>,
-/// the sign plane contributing 2^(bits_per_dim - 1). Each plane is
-/// unpacked from the store's packed layout first.
-std::uint32_t BitwiseDotQueryMulti(const QuantizedQuery& query,
-                                   const RabitqCodeStore& store,
-                                   std::size_t i);
-
-/// Full single-code multi-bit estimate; requires store.bits_per_dim() > 1.
-/// Bit-identical to the fused block kernels at the same code.
-DistanceEstimate EstimateDistanceMulti(const QuantizedQuery& query,
-                                       const RabitqCodeStore& store,
-                                       std::size_t i, float epsilon0);
-
-/// Accumulates the weighted multi-bit LUT sums S for one packed block into
-/// `multi_sums` (kFastScanBlockSize entries): `sign_sums` are the sign-plane
-/// sums the stage-1 scan already produced (reused, not recomputed), the
-/// extra planes are accumulated here. Requires query.has_exact_luts and
-/// bits_per_dim() > 1.
+/// Accumulates the weighted multi-bit sums S for one packed block into
+/// `multi_sums` (all kFastScanBlockSize lanes): `sign_sums` are the
+/// sign-plane sums the stage-1 scan already produced (AccumulateBlockSums;
+/// reused, not recomputed), the extra planes are accumulated here from the
+/// same source AccumulateBlockSums picks. Requires bits_per_dim() > 1.
 void AccumulateMultiBlockSums(const QuantizedQuery& query,
                               const RabitqCodeStore& store, std::size_t block,
                               const std::uint32_t* sign_sums,
@@ -148,9 +133,8 @@ void AccumulateMultiBlockSums(const QuantizedQuery& query,
 
 /// Stage-2 refine over one block: assembles the multi-bit estimate and
 /// lower bound for the lanes set in `candidate_mask` (stage-1 survivors)
-/// from their weighted sums `multi_sums` (either source:
-/// AccumulateMultiBlockSums, or BitwiseDotQueryMulti per candidate lane --
-/// the SIMD path reads whole 8-lane groups, so the other lanes must hold
+/// from their weighted sums `multi_sums` (AccumulateMultiBlockSums; the
+/// SIMD path reads whole 8-lane groups, so the other lanes must hold
 /// initialized values, which it ignores) and returns the refined survivors
 /// mask -- candidate lanes whose multi-bit lower bound does not exceed
 /// `prune_threshold` (same strict >, same +inf no-prune sentinel as
@@ -172,15 +156,15 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
     float prune_threshold, std::uint32_t candidate_mask, float* dist_sq,
     float* lower_bounds);
 
-/// Fills `sums` with <x_b, q-bar_u> for block `block`'s lanes (lanes past
-/// size() on the tail block are left untouched). `fast_scan` selects the
-/// fast-scan LUT kernel, which requires query.has_exact_luts; otherwise
-/// the block's sign plane is unpacked in one pass and each lane takes B_q
-/// bitwise passes (BitwiseDotQuery), which works at any B_q. The two
-/// sources are equal.
+/// Fills `sums` with <x_b, q-bar_u> for all kFastScanBlockSize lanes of
+/// block `block` (lanes past size() on the tail block hold the packed
+/// padding's sums; callers read lanes < size()). The fast-scan LUT kernel
+/// when query.has_exact_luts; otherwise the block's sign plane is unpacked
+/// in one pass and each lane takes B_q bitwise passes, which works at any
+/// B_q. The two sources are equal.
 void AccumulateBlockSums(const QuantizedQuery& query,
                          const RabitqCodeStore& store, std::size_t block,
-                         bool fast_scan, std::uint32_t* sums);
+                         std::uint32_t* sums);
 
 /// Software-prefetches block `block`'s packed codes and factor arrays into
 /// cache; no-op past the last block. The block scan loops (EstimateAll, the
@@ -188,8 +172,8 @@ void AccumulateBlockSums(const QuantizedQuery& query,
 /// data streams in while the current block is assembled.
 void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block);
 
-/// Estimates all codes in `store` through the block path, with fast-scan
-/// sums when query.has_exact_luts, bitwise sums otherwise; `dist_sq` (and
+/// Estimates all codes in `store` through the 1-bit block path, with the
+/// sums AccumulateBlockSums picks; `dist_sq` (and
 /// `lower_bounds` if non-null) must hold store.size() floats.
 void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds);

@@ -74,29 +74,6 @@ struct EngineStatsSnapshot {
   double rerank_bound_tightness_mean = 0.0;
 };
 
-/// Histogram over geometrically spaced latency buckets: bucket i covers
-/// [2^(i/4), 2^((i+1)/4)) microseconds, i.e. ~19% relative resolution, with
-/// 128 buckets reaching ~75 minutes (the obs::Histogram bucket geometry).
-/// Quantiles interpolate linearly WITHIN the reporting bucket and clamp to
-/// the recorded maximum. NOT thread-safe -- this is the single-threaded
-/// value type; the engine's concurrent histograms are obs::Histogram.
-class LatencyHistogram {
- public:
-  static constexpr int kNumBuckets = obs::kNumBuckets;
-
-  void Record(double micros);
-  /// Interpolated quantile in microseconds; q in [0, 1]. 0 when empty.
-  double Quantile(double q) const;
-  double max_micros() const { return max_micros_; }
-  std::uint64_t count() const { return count_; }
-  void Reset();
-
- private:
-  std::uint64_t buckets_[kNumBuckets] = {};
-  std::uint64_t count_ = 0;
-  double max_micros_ = 0.0;
-};
-
 /// Thread-safe collector owned by a SearchEngine: a facade that resolves
 /// its metrics out of the engine's registry once at construction, then
 /// records lock-free. Record* calls may race freely; Snapshot() is a

@@ -209,12 +209,6 @@ Status IvfRabitqIndex::BuildFromClustering(const Matrix& data, Matrix centroids,
 }
 
 void IvfRabitqIndex::ProbeOrderInto(
-    const float* query,
-    std::vector<std::pair<float, std::uint32_t>>* out) const {
-  ProbeOrderInto(query, centroids_.rows(), out);
-}
-
-void IvfRabitqIndex::ProbeOrderInto(
     const float* query, std::size_t nprobe,
     std::vector<std::pair<float, std::uint32_t>>* out) const {
   out->resize(centroids_.rows());
@@ -234,21 +228,6 @@ void IvfRabitqIndex::ProbeOrderInto(
   // full sort's.
   std::nth_element(out->begin(), out->begin() + nprobe, out->end());
   std::sort(out->begin(), out->begin() + nprobe);
-}
-
-std::vector<std::pair<float, std::uint32_t>>
-IvfRabitqIndex::ProbeOrderWithDistances(const float* query) const {
-  std::vector<std::pair<float, std::uint32_t>> by_dist;
-  ProbeOrderInto(query, &by_dist);
-  return by_dist;
-}
-
-std::vector<std::uint32_t> IvfRabitqIndex::ProbeOrder(
-    const float* query) const {
-  const auto by_dist = ProbeOrderWithDistances(query);
-  std::vector<std::uint32_t> order(by_dist.size());
-  for (std::size_t i = 0; i < by_dist.size(); ++i) order[i] = by_dist[i].second;
-  return order;
 }
 
 SearchResponse IvfRabitqIndex::Search(const SearchRequest& request) const {
@@ -414,11 +393,6 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
         &list_rng, &qq, /*query_bits_override=*/0, metric_, query_norm_sq));
     if (trace != nullptr) prepare_ns += NanosSince(span_start);
     const std::size_t n = list.ids.size();
-    // Where a block's sums come from: the fast-scan LUT kernel when the
-    // query's u8 LUTs are lossless (B_q <= 6), B_q bitwise passes per lane
-    // otherwise. Both give the same integer <x_b, q-bar_u>, so everything
-    // below is shared.
-    const bool fast_scan = params.use_batch_estimator && qq.has_exact_luts;
     local_stats.codes_estimated += n;
 
     // Scan + selection (paper Section 4 made branch-free): per block,
@@ -454,7 +428,10 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
             &local_stats.codes_filtered);
         if (allow_mask == 0) continue;
       }
-      AccumulateBlockSums(qq, list.codes, block, fast_scan, sums);
+      // The fast-scan LUT kernel when the query's u8 LUTs are lossless
+      // (B_q <= 6), B_q bitwise passes per lane otherwise: the same integer
+      // <x_b, q-bar_u> either way, so everything below is shared.
+      AccumulateBlockSums(qq, list.codes, block, sums);
       // +infinity (not FLT_MAX) under the estimate-only policies and while
       // the heap is filling: nothing compares greater than inf, so even a
       // lower bound that overflowed to +inf survives the kernel, and the
@@ -475,17 +452,9 @@ Status IvfRabitqIndex::SearchWithScratch(const float* query,
       if (multi && survivors != 0) {
         local_stats.codes_refined +=
             static_cast<std::size_t>(std::popcount(survivors));
+        // Reuses the sign-plane sums; only the extra planes are scanned.
         std::uint32_t msums[kFastScanBlockSize];
-        if (fast_scan) {
-          // Reuses the sign-plane sums; only the extra planes are scanned.
-          AccumulateMultiBlockSums(qq, list.codes, block, sums, msums);
-        } else {
-          std::fill_n(msums, kFastScanBlockSize, 0u);
-          for (std::uint32_t m = survivors; m != 0; m &= m - 1) {
-            const unsigned lane = std::countr_zero(m);
-            msums[lane] = BitwiseDotQueryMulti(qq, list.codes, begin + lane);
-          }
-        }
+        AccumulateMultiBlockSums(qq, list.codes, block, sums, msums);
         survivors = EstimateBlockMultiPruned(
             qq, list.codes, block, msums, epsilon0, threshold, survivors,
             est_buf.data() + begin, mlb_buf.data() + begin);

@@ -164,27 +164,16 @@ class IvfRabitqIndex {
   /// preparation is a subtract-and-scale (see PrepareQueryFromRotated).
   const Matrix& rotated_centroids() const { return rotated_centroids_; }
 
-  /// Lists sorted ascending by centroid key to `query` (the probe order):
-  /// squared centroid distance under kL2, negated centroid inner product
-  /// under kInnerProduct/kCosine. Exposed for the distance-estimation
-  /// benches.
-  std::vector<std::uint32_t> ProbeOrder(const float* query) const;
-
-  /// Probe order with the centroid keys attached.
-  std::vector<std::pair<float, std::uint32_t>> ProbeOrderWithDistances(
-      const float* query) const;
-
-  /// Allocation-free variant writing the probe order into `*out`.
-  void ProbeOrderInto(const float* query,
-                      std::vector<std::pair<float, std::uint32_t>>* out) const;
-
-  /// nprobe-aware variant: only the first min(nprobe, num_lists) entries of
-  /// `*out` are sorted ascending (nth_element + sort of the prefix, O(L +
-  /// nprobe log nprobe) instead of O(L log L)); entries past the prefix are
-  /// in unspecified order. Because (distance, list id) pairs are totally
-  /// ordered, the sorted prefix is exactly the full sort's prefix -- the
-  /// search path (SearchWithScratch, and through it ShardedIndex and the
-  /// engine) stays bit-identical while skipping the full sort.
+  /// Writes the probe order of `query` into `*out`: (centroid key, list id)
+  /// for every list, the key being the squared centroid distance under kL2
+  /// and the negated centroid inner product under kInnerProduct/kCosine.
+  /// Only the first min(nprobe, num_lists) entries are sorted ascending
+  /// (nth_element + sort of the prefix, O(L + nprobe log nprobe)); entries
+  /// past the prefix are in unspecified order, and nprobe = num_lists()
+  /// sorts them all. Because (key, list id) pairs are totally ordered, the
+  /// sorted prefix is exactly the full sort's prefix -- the search path
+  /// (SearchWithScratch, and through it ShardedIndex and the engine) stays
+  /// bit-identical while skipping the full sort.
   void ProbeOrderInto(const float* query, std::size_t nprobe,
                       std::vector<std::pair<float, std::uint32_t>>* out) const;
 

@@ -154,10 +154,6 @@ struct SearchOptions {
   std::size_t rerank_candidates = 1000;
   /// Overrides the encoder's eps0 when >= 0 (Fig. 5 sweep).
   float epsilon0_override = -1.0f;
-  /// Source of each scanned block's sums: the packed fast-scan LUT kernel
-  /// (true; used only when B_q <= 6, where the LUTs are lossless) or B_q
-  /// bitwise passes per code (false). Results are bit-identical either way.
-  bool use_batch_estimator = true;
   /// Base seed of the randomized query quantization. Unset: the layer
   /// serving the request picks one (the engine derives it from its config
   /// seed and the query's ticket; a bare index uses seed 0). Set: used

@@ -25,12 +25,6 @@ float L2SqrDistance(const float* a, const float* b, std::size_t dim) {
   return acc;
 }
 
-float L1Norm(const float* a, std::size_t dim) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < dim; ++i) acc += std::fabs(a[i]);
-  return acc;
-}
-
 }  // namespace scalar
 
 #if defined(__AVX2__)
@@ -47,8 +41,6 @@ inline float HorizontalSum(__m256 v) {
 }
 
 }  // namespace
-
-bool HasAvx2Kernels() { return true; }
 
 float Dot(const float* a, const float* b, std::size_t dim) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -90,21 +82,7 @@ float L2SqrDistance(const float* a, const float* b, std::size_t dim) {
   return acc;
 }
 
-float L1Norm(const float* a, std::size_t dim) {
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= dim; i += 8) {
-    acc = _mm256_add_ps(acc, _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(a + i)));
-  }
-  float out = HorizontalSum(acc);
-  for (; i < dim; ++i) out += std::fabs(a[i]);
-  return out;
-}
-
 #else  // !defined(__AVX2__)
-
-bool HasAvx2Kernels() { return false; }
 
 float Dot(const float* a, const float* b, std::size_t dim) {
   return scalar::Dot(a, b, dim);
@@ -113,8 +91,6 @@ float Dot(const float* a, const float* b, std::size_t dim) {
 float L2SqrDistance(const float* a, const float* b, std::size_t dim) {
   return scalar::L2SqrDistance(a, b, dim);
 }
-
-float L1Norm(const float* a, std::size_t dim) { return scalar::L1Norm(a, dim); }
 
 #endif  // defined(__AVX2__)
 

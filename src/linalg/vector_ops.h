@@ -23,9 +23,6 @@ float SquaredNorm(const float* a, std::size_t dim);
 /// ||a||.
 float Norm(const float* a, std::size_t dim);
 
-/// L1 norm: sum_i |a[i]|.
-float L1Norm(const float* a, std::size_t dim);
-
 /// out = a - b.
 void Subtract(const float* a, const float* b, float* out, std::size_t dim);
 
@@ -44,11 +41,7 @@ float NormalizeInPlace(float* a, std::size_t dim);
 namespace scalar {
 float Dot(const float* a, const float* b, std::size_t dim);
 float L2SqrDistance(const float* a, const float* b, std::size_t dim);
-float L1Norm(const float* a, std::size_t dim);
 }  // namespace scalar
-
-/// True when the library was compiled with the AVX2 kernels.
-bool HasAvx2Kernels();
 
 }  // namespace rabitq
 

@@ -12,7 +12,7 @@
 //   * Counter       monotonic u64, striped over cache-line-aligned slots
 //   * FloatCounter  monotonic double sum (CAS-add), striped
 //   * Gauge         last-write-wins double
-//   * Histogram     log-bucketed (the LatencyHistogram geometry), striped
+//   * Histogram     log-bucketed, striped
 //
 // Consistency: a snapshot sums stripes with relaxed loads, so it is not a
 // linearizable cut across metrics -- counters may be mutually off by the
@@ -36,10 +36,10 @@ namespace rabitq {
 namespace obs {
 
 // ---------------------------------------------------------------------------
-// Geometric bucket layout, shared with engine/LatencyHistogram: bucket i
-// covers [2^(i/4), 2^((i+1)/4)) value units (~19% relative resolution);
-// 128 buckets reach ~75 minutes when the unit is microseconds. Values below
-// 1 land in bucket 0, whose lower edge is treated as 0 for interpolation.
+// Geometric bucket layout: bucket i covers [2^(i/4), 2^((i+1)/4)) value
+// units (~19% relative resolution); 128 buckets reach ~75 minutes when the
+// unit is microseconds. Values below 1 land in bucket 0, whose lower edge
+// is treated as 0 for interpolation.
 // ---------------------------------------------------------------------------
 
 inline constexpr int kNumBuckets = 128;

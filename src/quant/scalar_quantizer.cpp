@@ -10,57 +10,6 @@
 
 namespace rabitq {
 
-Status ScalarQuantizer8::Train(const Matrix& data) {
-  if (data.rows() == 0 || data.cols() == 0) {
-    return Status::InvalidArgument("empty training data");
-  }
-  const std::size_t dim = data.cols();
-  lo_.assign(dim, 0.0f);
-  step_.assign(dim, 0.0f);
-  std::vector<float> hi(dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    lo_[j] = data.At(0, j);
-    hi[j] = data.At(0, j);
-  }
-  for (std::size_t i = 1; i < data.rows(); ++i) {
-    const float* row = data.Row(i);
-    for (std::size_t j = 0; j < dim; ++j) {
-      lo_[j] = std::min(lo_[j], row[j]);
-      hi[j] = std::max(hi[j], row[j]);
-    }
-  }
-  for (std::size_t j = 0; j < dim; ++j) step_[j] = (hi[j] - lo_[j]) / 255.0f;
-  return Status::Ok();
-}
-
-void ScalarQuantizer8::Encode(const float* vec, std::uint8_t* code) const {
-  for (std::size_t j = 0; j < dim(); ++j) {
-    if (step_[j] <= 0.0f) {
-      code[j] = 0;
-      continue;
-    }
-    const float scaled = (vec[j] - lo_[j]) / step_[j];
-    code[j] = static_cast<std::uint8_t>(
-        std::clamp(std::lround(scaled), 0l, 255l));
-  }
-}
-
-void ScalarQuantizer8::Decode(const std::uint8_t* code, float* out) const {
-  for (std::size_t j = 0; j < dim(); ++j) {
-    out[j] = lo_[j] + step_[j] * static_cast<float>(code[j]);
-  }
-}
-
-float ScalarQuantizer8::EstimateSquaredDistance(
-    const float* query, const std::uint8_t* code) const {
-  float acc = 0.0f;
-  for (std::size_t j = 0; j < dim(); ++j) {
-    const float d = query[j] - (lo_[j] + step_[j] * static_cast<float>(code[j]));
-    acc += d * d;
-  }
-  return acc;
-}
-
 namespace {
 
 // One dimension's Eq. (18) level; the AVX2 loop below performs the same

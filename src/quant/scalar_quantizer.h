@@ -1,10 +1,7 @@
-// Uniform scalar quantization. Two flavors:
-//  * SQ8: classic per-dimension 8-bit quantizer (related-work baseline and a
-//    building block for PQ's LUT compression).
-//  * RandomizedUniform: the unbiased randomized rounding of paper Eq. (18),
-//    used by the RaBitQ query quantization (Section 3.3.1) and analyzed by
-//    Theorem 3.3. Rounding v = vl + m*delta + t goes up with probability
-//    t/delta, down otherwise, so E[round(v)] = v.
+// Uniform scalar quantization: the unbiased randomized rounding of paper
+// Eq. (18), used by the RaBitQ query quantization (Section 3.3.1) and
+// analyzed by Theorem 3.3. Rounding v = vl + m*delta + t goes up with
+// probability t/delta, down otherwise, so E[round(v)] = v.
 //
 // The rounding dithers u_i come from a counter-keyed stream: u_i is a pure
 // function of (key, i), a 32-bit avalanche hash of the two whose top 24 bits
@@ -18,36 +15,12 @@
 #ifndef RABITQ_QUANT_SCALAR_QUANTIZER_H_
 #define RABITQ_QUANT_SCALAR_QUANTIZER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "linalg/matrix.h"
 #include "util/status.h"
 
 namespace rabitq {
-
-/// Per-dimension 8-bit min/max scalar quantizer.
-class ScalarQuantizer8 {
- public:
-  /// Learns per-dimension [min, max] ranges from training data.
-  Status Train(const Matrix& data);
-
-  std::size_t dim() const { return lo_.size(); }
-
-  /// Encodes one vector into dim() bytes (values clamped into range).
-  void Encode(const float* vec, std::uint8_t* code) const;
-
-  /// Decodes a code back to floats (segment midpoint reconstruction).
-  void Decode(const std::uint8_t* code, float* out) const;
-
-  /// Estimated squared distance between a raw query and an encoded vector.
-  float EstimateSquaredDistance(const float* query,
-                                const std::uint8_t* code) const;
-
- private:
-  std::vector<float> lo_;
-  std::vector<float> step_;  // (hi - lo) / 255, 0 for constant dims
-};
 
 /// lowbias32, a 32-bit avalanche finalizer (two xorshift-multiply rounds).
 inline std::uint32_t Avalanche32(std::uint32_t x) {

@@ -134,7 +134,6 @@ Status WireSearchOptions::FromOptions(const SearchOptions& options,
   out->policy = static_cast<std::uint8_t>(options.policy);
   out->rerank_candidates = options.rerank_candidates;
   out->epsilon0_override = options.epsilon0_override;
-  out->use_batch_estimator = options.use_batch_estimator ? 1 : 0;
   out->seed = options.seed;
   out->timeout_us = options.timeout_us;
   // An absolute deadline has no wire form; re-express whatever budget is
@@ -167,11 +166,9 @@ SearchOptions WireSearchOptions::ToOptions() const {
   SearchOptions o;
   o.k = static_cast<std::size_t>(k);
   o.nprobe = static_cast<std::size_t>(nprobe);
-  o.policy = policy <= 2 ? static_cast<RerankPolicy>(policy)
-                         : RerankPolicy::kErrorBound;
+  o.policy = static_cast<RerankPolicy>(policy);
   o.rerank_candidates = static_cast<std::size_t>(rerank_candidates);
   o.epsilon0_override = epsilon0_override;
-  o.use_batch_estimator = use_batch_estimator != 0;
   o.seed = seed;
   o.timeout_us = timeout_us;
   if (filter_kind == 1) {
@@ -190,7 +187,6 @@ void EncodeSearchOptions(const WireSearchOptions& o, WireWriter* w) {
   w->U8(o.policy);
   w->U64(o.rerank_candidates);
   w->F32(o.epsilon0_override);
-  w->U8(o.use_batch_estimator);
   w->U8(o.seed.has_value() ? 1 : 0);
   w->U64(o.seed.value_or(0));
   w->U64(o.timeout_us);
@@ -208,10 +204,11 @@ bool DecodeSearchOptions(WireReader* r, WireSearchOptions* o) {
   std::uint64_t seed = 0;
   if (!r->U64(&o->k) || !r->U64(&o->nprobe) || !r->U8(&o->policy) ||
       !r->U64(&o->rerank_candidates) || !r->F32(&o->epsilon0_override) ||
-      !r->U8(&o->use_batch_estimator) || !r->U8(&has_seed) || !r->U64(&seed) ||
-      !r->U64(&o->timeout_us) || !r->U8(&o->filter_kind)) {
+      !r->U8(&has_seed) || !r->U64(&seed) || !r->U64(&o->timeout_us) ||
+      !r->U8(&o->filter_kind)) {
     return false;
   }
+  if (o->policy > static_cast<std::uint8_t>(RerankPolicy::kNone)) return false;
   o->seed = has_seed != 0 ? std::optional<std::uint64_t>(seed) : std::nullopt;
   o->filter_num_ids = 0;
   o->filter_words.clear();

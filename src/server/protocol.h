@@ -8,7 +8,7 @@
 //
 //   offset  size  field
 //        0     4  magic      0x57514252 ("RBQW")
-//        4     2  version    kProtocolVersion (1)
+//        4     2  version    kProtocolVersion (2)
 //        6     2  type       MsgType; responses set kResponseFlag (0x8000)
 //        8     8  request_id echoed verbatim in the response
 //       16     4  body_len   payload bytes that follow (<= kMaxFrameBody)
@@ -44,7 +44,7 @@ namespace rabitq {
 namespace server {
 
 inline constexpr std::uint32_t kFrameMagic = 0x57514252u;  // "RBQW"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Hard cap on one frame's payload. Large enough for a create_collection
 /// carrying a training set (rows * dim floats); small enough that a
@@ -200,7 +200,6 @@ struct WireSearchOptions {
   std::uint8_t policy = 0;  // RerankPolicy
   std::uint64_t rerank_candidates = 1000;
   float epsilon0_override = -1.0f;
-  std::uint8_t use_batch_estimator = 1;
   std::optional<std::uint64_t> seed;
   std::uint64_t timeout_us = 0;
   // Filter: 0 = none, 1 = allow bitmap, 2 = deny bitmap.
@@ -212,8 +211,10 @@ struct WireSearchOptions {
   /// on a predicate filter -- a function pointer has no wire form.
   static Status FromOptions(const SearchOptions& options,
                             WireSearchOptions* out);
-  /// Materializes engine-facing options. The returned options' filter VIEW
-  /// points into this object's filter_words -- keep it alive for the search.
+  /// Materializes engine-facing options from decoded ones (DecodeSearchOptions
+  /// has range-checked policy and filter_kind). The returned options' filter
+  /// VIEW points into this object's filter_words -- keep it alive for the
+  /// search.
   SearchOptions ToOptions() const;
 };
 

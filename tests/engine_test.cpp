@@ -317,22 +317,6 @@ TEST_F(EngineTestFixture, PerQueryErrorsPropagateWithoutPoisoningBatch) {
   ASSERT_EQ(responses.size(), 2u);
 }
 
-TEST(EngineTest, LatencyHistogramQuantiles) {
-  LatencyHistogram hist;
-  for (int i = 1; i <= 1000; ++i) hist.Record(static_cast<double>(i));
-  EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_EQ(hist.max_micros(), 1000.0);
-  // Log-bucketed quantiles carry <= ~19% bucket error plus the bucket-edge
-  // overestimate; accept a generous band around the exact quantiles.
-  EXPECT_GT(hist.Quantile(0.5), 350.0);
-  EXPECT_LT(hist.Quantile(0.5), 800.0);
-  EXPECT_GT(hist.Quantile(0.99), 800.0);
-  EXPECT_LE(hist.Quantile(0.99), 1000.0);
-  // Degenerate q resolves to the first occupied bucket's upper edge.
-  EXPECT_GE(hist.Quantile(0.0), 1.0);
-  EXPECT_LE(hist.Quantile(0.0), 2.0);
-}
-
 // An engine over an unbuilt (zero-shard) index constructs cleanly and
 // refuses every search with kFailedPrecondition from the scheduler's
 // unbuilt-index branch; Drain still returns.

@@ -1,12 +1,14 @@
 // Filtered search: the per-query IdFilter pushed down into candidate
 // selection (the fused kernel's survivors mask, and the identical checks in
-// the bitwise / scalar fallbacks).
+// the scalar reference kernel).
 //   * brute-force-oracle equality across selectivities {0%, 1%, 50%, 99%,
 //     100%} -- filtered results are EXACTLY the top-k of the allowed
-//     subset, with codes_filtered accounting for every live excluded code;
+//     subset, with codes_filtered accounting for every live excluded code --
+//     with LUT sums (the default B_q) and bitwise sums (B_q = 8);
 //   * filter x tombstone interaction (neither double-counts the other);
 //   * fused-vs-scalar survivors-mask bit-parity under random lane masks;
-//   * fused-vs-bitwise estimator parity under a filter;
+//   * the fused search under a filter is bit-identical to the scalar replay
+//     with bitwise sums (tests/scan_reference.h), at both B_q;
 //   * sharded and engine parity with per-shard filter slicing (a GLOBAL-id
 //     filter consulted through each shard's local->global map);
 //   * predicate / allow-bitmap / deny-bitmap agreement and the
@@ -28,6 +30,7 @@
 #include "linalg/vector_ops.h"
 #include "quant/fastscan.h"
 #include "util/prng.h"
+#include "scan_reference.h"
 
 namespace rabitq {
 namespace {
@@ -98,6 +101,11 @@ class FilteredSearchTest : public ::testing::Test {
     IvfConfig ivf;
     ivf.num_lists = 24;
     ASSERT_TRUE(index_.Build(data_, ivf, RabitqConfig{}).ok());
+    // Same clustering, B_q = 8: no lossless LUTs, so every block's sums
+    // come from bitwise passes.
+    RabitqConfig bitwise;
+    bitwise.query_bits = 8;
+    ASSERT_TRUE(index_bq8_.Build(data_, ivf, bitwise).ok());
     queries_ = ClusteredData(8, kDim, 16, 22);
   }
 
@@ -118,36 +126,39 @@ class FilteredSearchTest : public ::testing::Test {
   Matrix data_;
   Matrix queries_;
   IvfRabitqIndex index_;
+  IvfRabitqIndex index_bq8_;
 };
 
 TEST_F(FilteredSearchTest, OracleEqualityAcrossSelectivities) {
-  for (const double selectivity : {0.0, 0.01, 0.5, 0.99, 1.0}) {
-    std::size_t allowed = 0;
-    const auto bits = RandomBitmap(kN, selectivity, 777, &allowed);
-    for (std::size_t q = 0; q < queries_.rows(); ++q) {
-      SearchRequest request{queries_.Row(q), ExhaustiveOptions(900 + q)};
-      request.options.filter = IdFilter::AllowBitmap(bits.data(), kN);
-      const SearchResponse response = index_.Search(request);
-      ASSERT_TRUE(response.ok()) << response.status.ToString();
-      const auto oracle =
-          OracleSubsetTopK(data_, index_, bits, queries_.Row(q), kK);
-      ASSERT_EQ(response.neighbors.size(), oracle.size())
-          << "selectivity " << selectivity;
-      for (std::size_t i = 0; i < oracle.size(); ++i) {
-        EXPECT_EQ(response.neighbors[i].second, oracle[i].second);
-        EXPECT_EQ(response.neighbors[i].first, oracle[i].first);
-      }
-      // Exhaustive probing scans every live code exactly once, so the
-      // filter drops exactly the live-but-disallowed ones.
-      EXPECT_EQ(response.stats.codes_filtered, kN - allowed)
-          << "selectivity " << selectivity;
-      if (selectivity == 1.0) {
-        EXPECT_EQ(response.stats.codes_filtered, 0u);
-      } else {
-        EXPECT_GT(response.stats.codes_filtered, 0u);
-      }
-      if (selectivity == 0.0) {
-        EXPECT_TRUE(response.neighbors.empty());
+  for (const IvfRabitqIndex* index : {&index_, &index_bq8_}) {
+    for (const double selectivity : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+      std::size_t allowed = 0;
+      const auto bits = RandomBitmap(kN, selectivity, 777, &allowed);
+      for (std::size_t q = 0; q < queries_.rows(); ++q) {
+        SearchRequest request{queries_.Row(q), ExhaustiveOptions(900 + q)};
+        request.options.filter = IdFilter::AllowBitmap(bits.data(), kN);
+        const SearchResponse response = index->Search(request);
+        ASSERT_TRUE(response.ok()) << response.status.ToString();
+        const auto oracle =
+            OracleSubsetTopK(data_, *index, bits, queries_.Row(q), kK);
+        ASSERT_EQ(response.neighbors.size(), oracle.size())
+            << "selectivity " << selectivity;
+        for (std::size_t i = 0; i < oracle.size(); ++i) {
+          EXPECT_EQ(response.neighbors[i].second, oracle[i].second);
+          EXPECT_EQ(response.neighbors[i].first, oracle[i].first);
+        }
+        // Exhaustive probing scans every live code exactly once, so the
+        // filter drops exactly the live-but-disallowed ones.
+        EXPECT_EQ(response.stats.codes_filtered, kN - allowed)
+            << "selectivity " << selectivity;
+        if (selectivity == 1.0) {
+          EXPECT_EQ(response.stats.codes_filtered, 0u);
+        } else {
+          EXPECT_GT(response.stats.codes_filtered, 0u);
+        }
+        if (selectivity == 0.0) {
+          EXPECT_TRUE(response.neighbors.empty());
+        }
       }
     }
   }
@@ -204,53 +215,58 @@ TEST_F(FilteredSearchTest, FilterTombstoneInteraction) {
 
 TEST_F(FilteredSearchTest, PredicateNeverSeesTombstonedIds) {
   // The IdFilter contract: predicates run only on LIVE candidate ids, so a
-  // caller may key them off live-only metadata. Pinned for the fused path
-  // (per-block mask) and the bitwise fallback alike.
-  for (std::uint32_t id = 0; id < kN; id += 4) {
-    ASSERT_TRUE(index_.Delete(id).ok());
+  // caller may key them off live-only metadata. Pinned for LUT sums and
+  // bitwise sums (B_q = 8) alike.
+  for (IvfRabitqIndex* index : {&index_, &index_bq8_}) {
+    for (std::uint32_t id = 0; id < kN; id += 4) {
+      ASSERT_TRUE(index->Delete(id).ok());
+    }
   }
   struct Ctx {
     const IvfRabitqIndex* index;
     std::size_t dead_seen = 0;
-  } ctx{&index_, 0};
+  };
   const auto pred = [](void* context, std::uint32_t id) {
     Ctx* c = static_cast<Ctx*>(context);
     if (c->index->IsDeleted(id)) ++c->dead_seen;
     return id % 2 == 0;
   };
-  for (const bool batch_estimator : {true, false}) {
+  for (const IvfRabitqIndex* index : {&index_, &index_bq8_}) {
+    Ctx ctx{index, 0};
     SearchRequest request{queries_.Row(0), ExhaustiveOptions(12)};
-    request.options.use_batch_estimator = batch_estimator;
     request.options.filter = IdFilter::FromPredicate(pred, &ctx);
-    ASSERT_TRUE(index_.Search(request).ok());
-    EXPECT_EQ(ctx.dead_seen, 0u) << "batch_estimator=" << batch_estimator;
+    ASSERT_TRUE(index->Search(request).ok());
+    EXPECT_EQ(ctx.dead_seen, 0u)
+        << "B_q=" << index->encoder().config().query_bits;
   }
 }
 
 TEST_F(FilteredSearchTest, FusedAndBitwiseEstimatorsAgreeUnderFilter) {
   std::size_t allowed = 0;
   const auto bits = RandomBitmap(kN, 0.5, 999, &allowed);
-  for (const RerankPolicy policy :
-       {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
-        RerankPolicy::kNone}) {
-    for (std::size_t q = 0; q < queries_.rows(); ++q) {
-      SearchRequest request{queries_.Row(q), ExhaustiveOptions(555 + q)};
-      request.options.policy = policy;
-      request.options.rerank_candidates = 64;
-      // Paper eps0: in-kernel lower-bound pruning stays LIVE here -- this
-      // pins fused-vs-bitwise parity with filter, pruning and re-ranking
-      // all interacting, not just the never-prune oracle setting.
-      request.options.epsilon0_override = -1.0f;
-      request.options.filter = IdFilter::AllowBitmap(bits.data(), kN);
-      SearchRequest bitwise = request;
-      bitwise.options.use_batch_estimator = false;
-      const SearchResponse a = index_.Search(request);
-      const SearchResponse b = index_.Search(bitwise);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(a.neighbors, b.neighbors);
-      EXPECT_EQ(a.stats.codes_filtered, b.stats.codes_filtered);
-      for (const Neighbor& nb : a.neighbors) {
-        EXPECT_TRUE(BitSet(bits, nb.second));
+  for (const IvfRabitqIndex* index : {&index_, &index_bq8_}) {
+    for (const RerankPolicy policy :
+         {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
+          RerankPolicy::kNone}) {
+      for (std::size_t q = 0; q < queries_.rows(); ++q) {
+        SearchRequest request{queries_.Row(q), ExhaustiveOptions(555 + q)};
+        request.options.policy = policy;
+        request.options.rerank_candidates = 64;
+        // Paper eps0: in-kernel lower-bound pruning stays LIVE here -- this
+        // pins fused-vs-bitwise parity with filter, pruning and re-ranking
+        // all interacting, not just the never-prune oracle setting.
+        request.options.epsilon0_override = -1.0f;
+        request.options.filter = IdFilter::AllowBitmap(bits.data(), kN);
+        const SearchResponse a = index->Search(request);
+        const SearchResponse b =
+            ReferenceSearch(*index, request.query, request.options);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a.neighbors, b.neighbors);
+        EXPECT_EQ(a.stats.codes_filtered, b.stats.codes_filtered);
+        EXPECT_EQ(a.stats.candidates_reranked, b.stats.candidates_reranked);
+        for (const Neighbor& nb : a.neighbors) {
+          EXPECT_TRUE(BitSet(bits, nb.second));
+        }
       }
     }
   }

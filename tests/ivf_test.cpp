@@ -15,6 +15,7 @@
 #include "index/ivf.h"
 #include "linalg/vector_ops.h"
 #include "util/prng.h"
+#include "scan_reference.h"
 
 namespace rabitq {
 namespace {
@@ -73,12 +74,14 @@ TEST_F(IvfTestFixture, EveryVectorAssignedToExactlyOneList) {
 }
 
 TEST_F(IvfTestFixture, ProbeOrderSortsByCentroidDistance) {
-  const auto order = index_.ProbeOrder(queries_.Row(0));
+  std::vector<std::pair<float, std::uint32_t>> order;
+  index_.ProbeOrderInto(queries_.Row(0), index_.num_lists(), &order);
   ASSERT_EQ(order.size(), index_.num_lists());
   float prev = -1.0f;
-  for (const std::uint32_t l : order) {
+  for (const auto& [key, l] : order) {
     const float d =
         L2SqrDistance(queries_.Row(0), index_.centroids().Row(l), kDim);
+    EXPECT_EQ(key, d);
     EXPECT_GE(d, prev);
     prev = d;
   }
@@ -90,7 +93,7 @@ TEST_F(IvfTestFixture, PartialProbeOrderMatchesFullSortPrefix) {
   // search path bit-identical after the partial-sort optimization.
   for (std::size_t q = 0; q < 4; ++q) {
     std::vector<std::pair<float, std::uint32_t>> full;
-    index_.ProbeOrderInto(queries_.Row(q), &full);
+    index_.ProbeOrderInto(queries_.Row(q), index_.num_lists(), &full);
     for (const std::size_t nprobe : {std::size_t{1}, std::size_t{5},
                                      std::size_t{16}, index_.num_lists(),
                                      index_.num_lists() + 10}) {
@@ -156,21 +159,20 @@ TEST_F(IvfTestFixture, ErrorBoundPrunesMostCandidates) {
   EXPECT_GE(stats.candidates_reranked, params.k);
 }
 
+// The search (fast-scan LUT sums, AVX2 assembly) against the scalar replay
+// of its scan with bitwise sums (tests/scan_reference.h).
 TEST_F(IvfTestFixture, SingleAndBatchEstimatorsGiveSameResults) {
   SearchOptions batch_params;
   batch_params.k = 10;
   batch_params.nprobe = 8;
-  SearchOptions single_params = batch_params;
-  single_params.use_batch_estimator = false;
   for (std::size_t q = 0; q < 5; ++q) {
-    // Same rng seed -> identical randomized query quantization.
-    Rng rng_a(100 + q), rng_b(100 + q);
-    batch_params.seed = rng_a.NextU64();
-    single_params.seed = rng_b.NextU64();
+    // Same seed -> identical randomized query quantization.
+    Rng rng(100 + q);
+    batch_params.seed = rng.NextU64();
     const SearchResponse batch_response =
         index_.Search({queries_.Row(q), batch_params});
     const SearchResponse single_response =
-        index_.Search({queries_.Row(q), single_params});
+        ReferenceSearch(index_, queries_.Row(q), batch_params);
     ASSERT_TRUE(batch_response.ok());
     ASSERT_TRUE(single_response.ok());
     const std::vector<Neighbor>& batch_result = batch_response.neighbors;

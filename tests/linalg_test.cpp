@@ -46,14 +46,6 @@ TEST_P(VectorOpsParamTest, L2SqrMatchesScalar) {
   EXPECT_NEAR(simd, ref, 1e-3f * (1.0f + ref));
 }
 
-TEST_P(VectorOpsParamTest, L1NormMatchesScalar) {
-  const std::size_t dim = GetParam();
-  Rng rng(dim * 31 + 3);
-  const auto a = RandomVec(dim, &rng);
-  EXPECT_NEAR(L1Norm(a.data(), dim), scalar::L1Norm(a.data(), dim),
-              1e-3f * (1.0f + dim));
-}
-
 INSTANTIATE_TEST_SUITE_P(Dims, VectorOpsParamTest,
                          ::testing::Values(1, 3, 7, 8, 15, 16, 17, 31, 32, 63,
                                            64, 100, 128, 255, 960));

@@ -3,8 +3,9 @@
 //     probe, never-prune eps0) is element-identical to the brute-force
 //     oracle under both new metrics -- unfiltered, filtered (allow-bitmap
 //     pushdown), and with duplicate rows forcing score ties;
-//   * the fused AVX2 estimate path is bit-identical to the un-fused scalar
-//     path per metric (use_batch_estimator on/off agree across policies);
+//   * the search is bit-identical per metric and policy to a scalar replay
+//     of its scan with bitwise sums (tests/scan_reference.h), at the
+//     default B_q (LUT sums) and at B_q = 8 (bitwise sums);
 //   * the metric survives the v3 single-file snapshot and the v2 sharded
 //     MANIFEST round trip, with post-load search bit-identical to pre-save;
 //   * sharded scatter-gather stays bit-identical to single-shard per metric;
@@ -33,6 +34,7 @@
 #include "index/sharded.h"
 #include "linalg/vector_ops.h"
 #include "util/prng.h"
+#include "scan_reference.h"
 
 namespace rabitq {
 namespace {
@@ -120,13 +122,15 @@ class MetricSearchTest : public ::testing::Test {
     queries_ = ClusteredData(kNumQueries, kDim, 10, 322);
   }
 
-  IvfRabitqIndex BuildSingle(Metric metric) const {
+  IvfRabitqIndex BuildSingle(Metric metric,
+                             int query_bits = RabitqConfig{}.query_bits) const {
     IvfRabitqIndex index;
     IvfConfig ivf;
     ivf.num_lists = kLists;
     ivf.metric = metric;
     RabitqConfig rabitq;
     rabitq.bits_per_dim = EnvBits();
+    rabitq.query_bits = query_bits;
     EXPECT_TRUE(index.Build(data_, ivf, rabitq).ok());
     return index;
   }
@@ -161,25 +165,25 @@ class MetricSearchTest : public ::testing::Test {
 
 // The tentpole acceptance criterion: for each non-L2 metric, exhaustive
 // kErrorBound and kFixedCandidates search returns exactly the brute-force
-// oracle's (key, id) list -- duplicate-score ties included -- on both
-// estimator paths.
+// oracle's (key, id) list -- duplicate-score ties included -- with LUT sums
+// (the default B_q) and with bitwise sums (B_q = 8).
 TEST_F(MetricSearchTest, ExhaustiveSearchMatchesOracle) {
   for (const Metric metric : {Metric::kInnerProduct, Metric::kCosine}) {
-    const IvfRabitqIndex index = BuildSingle(metric);
-    ASSERT_EQ(index.metric(), metric);
-    for (std::size_t q = 0; q < kNumQueries; ++q) {
-      const std::vector<Neighbor> oracle =
-          OracleAllowed(data_, queries_.Row(q), kK, metric, {});
-      for (const RerankPolicy policy :
-           {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates}) {
-        for (const bool batch : {true, false}) {
+    for (const int query_bits : {RabitqConfig{}.query_bits, 8}) {
+      const IvfRabitqIndex index = BuildSingle(metric, query_bits);
+      ASSERT_EQ(index.metric(), metric);
+      for (std::size_t q = 0; q < kNumQueries; ++q) {
+        const std::vector<Neighbor> oracle =
+            OracleAllowed(data_, queries_.Row(q), kK, metric, {});
+        for (const RerankPolicy policy :
+             {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates}) {
           SearchOptions params = ExhaustiveParams(policy);
-          params.use_batch_estimator = batch;
           params.seed = 700 + q;
           const SearchResponse got = index.Search({queries_.Row(q), params});
           ASSERT_TRUE(got.ok());
           ExpectSameNeighbors(oracle, got.neighbors,
-                              std::string(MetricName(metric)) + " q" +
+                              std::string(MetricName(metric)) + " Bq" +
+                                  std::to_string(query_bits) + " q" +
                                   std::to_string(q));
         }
       }
@@ -200,13 +204,12 @@ TEST_F(MetricSearchTest, FilteredSearchMatchesOracleOverAllowedSubset) {
     }
   }
   for (const Metric metric : {Metric::kInnerProduct, Metric::kCosine}) {
-    const IvfRabitqIndex index = BuildSingle(metric);
-    for (std::size_t q = 0; q < kNumQueries; ++q) {
-      const std::vector<Neighbor> oracle =
-          OracleAllowed(data_, queries_.Row(q), kK, metric, allowed);
-      for (const bool batch : {true, false}) {
+    for (const int query_bits : {RabitqConfig{}.query_bits, 8}) {
+      const IvfRabitqIndex index = BuildSingle(metric, query_bits);
+      for (std::size_t q = 0; q < kNumQueries; ++q) {
+        const std::vector<Neighbor> oracle =
+            OracleAllowed(data_, queries_.Row(q), kK, metric, allowed);
         SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
-        params.use_batch_estimator = batch;
         params.filter = IdFilter::AllowBitmap(bits.data(), kN);
         params.seed = 800 + q;
         const SearchResponse got = index.Search({queries_.Row(q), params});
@@ -221,36 +224,37 @@ TEST_F(MetricSearchTest, FilteredSearchMatchesOracleOverAllowedSubset) {
   }
 }
 
-// Fused AVX2 vs un-fused scalar estimates: bit-identical results per metric
-// at NON-exhaustive settings too (estimates decide the candidate set here,
-// so any kernel divergence shows up as a result difference).
+// Fused AVX2 search vs the scalar replay with bitwise sums: bit-identical
+// results per metric at NON-exhaustive settings too (estimates decide the
+// candidate set here, so any kernel divergence shows up as a result
+// difference). The default B_q scans with LUT sums, B_q = 8 with bitwise
+// sums.
 TEST_F(MetricSearchTest, FusedAndScalarEstimatorsBitIdenticalPerMetric) {
   for (const Metric metric :
        {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
-    const IvfRabitqIndex index = BuildSingle(metric);
-    for (const RerankPolicy policy :
-         {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
-          RerankPolicy::kNone}) {
-      SearchOptions fused;
-      fused.k = kK;
-      fused.nprobe = 5;
-      fused.policy = policy;
-      fused.rerank_candidates = 40;
-      fused.use_batch_estimator = true;
-      SearchOptions scalar = fused;
-      scalar.use_batch_estimator = false;
-      for (std::size_t q = 0; q < kNumQueries; ++q) {
-        fused.seed = 900 + q;
-        scalar.seed = 900 + q;
-        const SearchResponse fused_out =
-            index.Search({queries_.Row(q), fused});
-        const SearchResponse scalar_out =
-            index.Search({queries_.Row(q), scalar});
-        ASSERT_TRUE(fused_out.ok());
-        ASSERT_TRUE(scalar_out.ok());
-        ExpectSameNeighbors(scalar_out.neighbors, fused_out.neighbors,
-                            std::string("fused-vs-scalar ") +
-                                MetricName(metric));
+    for (const int query_bits : {RabitqConfig{}.query_bits, 8}) {
+      const IvfRabitqIndex index = BuildSingle(metric, query_bits);
+      for (const RerankPolicy policy :
+           {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
+            RerankPolicy::kNone}) {
+        SearchOptions fused;
+        fused.k = kK;
+        fused.nprobe = 5;
+        fused.policy = policy;
+        fused.rerank_candidates = 40;
+        for (std::size_t q = 0; q < kNumQueries; ++q) {
+          fused.seed = 900 + q;
+          const SearchResponse fused_out =
+              index.Search({queries_.Row(q), fused});
+          const SearchResponse scalar_out =
+              ReferenceSearch(index, queries_.Row(q), fused);
+          ASSERT_TRUE(fused_out.ok());
+          ASSERT_TRUE(scalar_out.ok());
+          ExpectSameNeighbors(scalar_out.neighbors, fused_out.neighbors,
+                              std::string("fused-vs-scalar ") +
+                                  MetricName(metric) + " Bq" +
+                                  std::to_string(query_bits));
+        }
       }
     }
   }

@@ -3,17 +3,20 @@
 //   * the sign plane of a multi-bit code is bit-identical to the 1-bit code
 //     of the same vector (the sign-split grid guarantee), so stage 1 of the
 //     scan is unchanged for any width;
+//   * the fast-scan LUT sums and the bitwise sums of a block agree lane for
+//     lane (AccumulateBlockSums, AccumulateMultiBlockSums) at every B_q with
+//     lossless LUTs and every width, on appended and compacted stores;
 //   * the multi-bit block kernels (AccumulateMultiBlockSums +
 //     EstimateBlockMultiPruned) are bit-identical to the scalar reference
-//     and to the single-code EstimateDistanceMulti path, candidate-mask
-//     pruning semantics included;
+//     and to a plain per-code sum, candidate-mask pruning semantics
+//     included;
 //   * the per-code grid factors satisfy their defining identities
 //     (reconstruction is unit-norm, m_o_o = <x-bar, o'>, the Eq. 16
 //     half-width shrinks as the grid refines);
 //   * the two-stage kErrorBound scan is element-identical to the brute-force
-//     oracle at every width under kL2 and kInnerProduct, on both estimator
-//     paths, and the batch/non-batch paths agree away from exhaustive
-//     settings too;
+//     oracle at every width under kL2 and kInnerProduct, with LUT and
+//     bitwise sums, and matches the scalar replay of its scan
+//     (tests/scan_reference.h) away from exhaustive settings too;
 //   * the multi-bit payload survives snapshots, Add/Delete/compaction, and
 //     sharded + engine serving (including the codes_refined telemetry).
 
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,6 +43,7 @@
 #include "quant/fastscan.h"
 #include "util/bit_ops.h"
 #include "util/prng.h"
+#include "scan_reference.h"
 
 namespace rabitq {
 namespace {
@@ -62,6 +67,26 @@ std::vector<std::uint64_t> ExtraPlanes(const RabitqCodeStore& store,
     store.UnpackPlane(i, j, planes.data() + j * store.words_per_code());
   }
   return planes;
+}
+
+// S = sum_d u_d * qu_d for code i: its level u_d read bit by bit from the
+// unpacked planes, times the query's rounded coordinate. The plain
+// reference of the weighted multi-bit sum.
+std::uint32_t PlainMultiSum(const QuantizedQuery& qq,
+                            const RabitqCodeStore& store, std::size_t i) {
+  const std::vector<std::uint64_t> sign = SignBits(store, i);
+  const std::vector<std::uint64_t> extra = ExtraPlanes(store, i);
+  const std::size_t bits = store.bits_per_dim();
+  const std::size_t words = store.words_per_code();
+  std::uint32_t s = 0;
+  for (std::size_t d = 0; d < store.total_bits(); ++d) {
+    std::uint32_t u = GetBit(sign.data(), d) ? 1u << (bits - 1) : 0u;
+    for (std::size_t j = 0; j + 1 < bits; ++j) {
+      if (GetBit(extra.data() + j * words, d)) u |= 1u << j;
+    }
+    s += u * qq.qu[d];
+  }
+  return s;
 }
 
 std::vector<float> RandomVec(std::size_t dim, Rng* rng, float scale = 1.0f) {
@@ -276,11 +301,75 @@ TEST(MultibitTest, GridFactorsMatchReconstruction) {
   }
 }
 
-// The multi-bit block kernels: AccumulateMultiBlockSums equals the per-code
-// BitwiseDotQueryMulti, and the pruned SIMD kernel is bit-identical to its
-// scalar reference and the single-code assembly, candidate-mask semantics
-// included (non-candidate lanes never survive, candidate lanes follow the
-// scalar !(lb > thr) rule exactly).
+// The two sources of a block's sums agree lane for lane: the fast-scan LUT
+// kernel and B_q bitwise passes (forced on a copy of the query with
+// has_exact_luts cleared) give the same sign-plane sum and the same weighted
+// multi-bit sum S, at every B_q with lossless LUTs and every code width, on
+// full and tail blocks, for a store grown by Append and for its compacted
+// copy.
+TEST(MultibitTest, LutAndBitwiseBlockSumsAgree) {
+  const struct {
+    std::size_t dim, n;
+  } shapes[] = {{50, 90}, {100, 64}, {40, 33}, {200, 7}};
+  for (const std::size_t bits :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    for (const auto& shape : shapes) {
+      Workload w;
+      BuildWorkload(shape.dim, shape.n, 2, bits, shape.dim * 10 + bits, &w);
+      std::vector<std::uint8_t> dead(w.store.size(), 0);
+      for (std::size_t i = 1; i < dead.size(); i += 3) dead[i] = 1;
+      RabitqCodeStore compacted;
+      w.store.CompactInto(dead.data(), &compacted);
+      Rng rng(bits * 17 + shape.n);
+      for (const RabitqCodeStore* store : {&w.store, &compacted}) {
+        const char* which = store == &w.store ? "appended" : "compacted";
+        for (int query_bits = 1; query_bits <= 6; ++query_bits) {
+          for (std::size_t q = 0; q < w.queries.rows(); ++q) {
+            QuantizedQuery qq;
+            ASSERT_TRUE(PrepareQuery(w.encoder, w.queries.Row(q),
+                                     w.centroid.data(), &rng, &qq, query_bits)
+                            .ok());
+            ASSERT_TRUE(qq.has_exact_luts) << "B_q " << query_bits;
+            QuantizedQuery bitwise_qq = qq;
+            bitwise_qq.has_exact_luts = false;
+            const std::size_t num_blocks = store->packed().num_blocks;
+            for (std::size_t block = 0; block < num_blocks; ++block) {
+              std::uint32_t lut[kFastScanBlockSize] = {};
+              std::uint32_t lut_multi[kFastScanBlockSize] = {};
+              std::uint32_t bitwise[kFastScanBlockSize] = {};
+              std::uint32_t bitwise_multi[kFastScanBlockSize] = {};
+              AccumulateBlockSums(qq, *store, block, lut);
+              AccumulateBlockSums(bitwise_qq, *store, block, bitwise);
+              if (bits > 1) {
+                AccumulateMultiBlockSums(qq, *store, block, lut, lut_multi);
+                AccumulateMultiBlockSums(bitwise_qq, *store, block, bitwise,
+                                         bitwise_multi);
+              }
+              const std::size_t begin = block * kFastScanBlockSize;
+              const std::size_t count =
+                  std::min(kFastScanBlockSize, store->size() - begin);
+              for (std::size_t k = 0; k < count; ++k) {
+                ASSERT_EQ(lut[k], bitwise[k])
+                    << which << " B_d " << bits << " B_q " << query_bits
+                    << " n " << store->size() << " block " << block
+                    << " lane " << k;
+                ASSERT_EQ(lut_multi[k], bitwise_multi[k])
+                    << which << " B_d " << bits << " B_q " << query_bits
+                    << " n " << store->size() << " block " << block
+                    << " lane " << k;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The multi-bit block kernels: AccumulateMultiBlockSums equals the plain
+// per-code sum, and the pruned SIMD kernel is bit-identical to its scalar
+// reference, candidate-mask semantics included (non-candidate lanes never
+// survive, candidate lanes follow the scalar !(lb > thr) rule exactly).
 TEST(MultibitTest, BlockKernelsBitIdenticalToScalarAndSingleCode) {
   const struct {
     std::size_t dim, n;
@@ -309,17 +398,16 @@ TEST(MultibitTest, BlockKernelsBitIdenticalToScalarAndSingleCode) {
           const std::size_t count =
               std::min(kFastScanBlockSize, w.store.size() - begin);
           for (std::size_t k = 0; k < count; ++k) {
-            ASSERT_EQ(msums[k], BitwiseDotQueryMulti(qq, w.store, begin + k))
+            ASSERT_EQ(msums[k], PlainMultiSum(qq, w.store, begin + k))
                 << "block " << block << " lane " << k;
           }
-          // Reference distances/bounds from the single-code path.
+          // Reference distances/bounds from the scalar reference with every
+          // lane a candidate and no pruning.
           float ref_d[kFastScanBlockSize], ref_lb[kFastScanBlockSize];
-          for (std::size_t k = 0; k < count; ++k) {
-            const DistanceEstimate single =
-                EstimateDistanceMulti(qq, w.store, begin + k, 1.9f);
-            ref_d[k] = single.dist_sq;
-            ref_lb[k] = single.lower_bound_sq;
-          }
+          EstimateBlockMultiPrunedScalar(
+              qq, w.store, block, msums, 1.9f,
+              std::numeric_limits<float>::infinity(), 0xFFFFFFFFu, ref_d,
+              ref_lb);
           const float lo = *std::min_element(ref_lb, ref_lb + count);
           const float hi = *std::max_element(ref_lb, ref_lb + count);
           const float thresholds[] = {lo, (lo + hi) / 2, hi, FLT_MAX};
@@ -360,9 +448,11 @@ TEST(MultibitTest, BlockKernelsBitIdenticalToScalarAndSingleCode) {
   }
 }
 
-// kNone reference over every list of `index`: each code's single-code
-// bitwise estimate (EstimateDistance / EstimateDistanceMulti) under the
-// per-list query the search prepares, the k smallest (estimate, id) pairs.
+// kNone reference over every list of `index`: each code's bitwise estimate
+// under the per-list query the search prepares -- the single-code
+// EstimateDistance for 1-bit codes, the scalar refine reference over
+// bitwise block sums for B_d-bit codes -- the k smallest (estimate, id)
+// pairs.
 std::vector<Neighbor> SingleCodeTopK(const IvfRabitqIndex& index,
                                      const float* query, std::uint64_t seed,
                                      std::size_t k) {
@@ -387,12 +477,28 @@ std::vector<Neighbor> SingleCodeTopK(const IvfRabitqIndex& index,
                                         query_norm_sq)
                     .ok());
     const RabitqCodeStore& codes = index.list_codes(l);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const DistanceEstimate est =
-          codes.bits_per_dim() > 1
-              ? EstimateDistanceMulti(qq, codes, i, 0.0f)
-              : EstimateDistance(qq, codes, i, 0.0f);
-      pool.emplace_back(est.dist_sq, ids[i]);
+    if (codes.bits_per_dim() == 1) {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        pool.emplace_back(EstimateDistance(qq, codes, i, 0.0f).dist_sq,
+                          ids[i]);
+      }
+      continue;
+    }
+    qq.has_exact_luts = false;
+    for (std::size_t begin = 0; begin < ids.size();
+         begin += kFastScanBlockSize) {
+      const std::size_t block = begin / kFastScanBlockSize;
+      std::uint32_t sums[kFastScanBlockSize], msums[kFastScanBlockSize];
+      float dist[kFastScanBlockSize], lb[kFastScanBlockSize];
+      AccumulateBlockSums(qq, codes, block, sums);
+      AccumulateMultiBlockSums(qq, codes, block, sums, msums);
+      EstimateBlockMultiPrunedScalar(qq, codes, block, msums, 0.0f,
+                                     std::numeric_limits<float>::infinity(),
+                                     0xFFFFFFFFu, dist, lb);
+      for (std::size_t k = 0;
+           k < std::min(kFastScanBlockSize, ids.size() - begin); ++k) {
+        pool.emplace_back(dist[k], ids[begin + k]);
+      }
     }
   }
   k = std::min(k, pool.size());
@@ -446,9 +552,9 @@ class MultibitSearchTest : public ::testing::Test {
 // element-identical to the brute-force oracle at every width, under kL2 and
 // kInnerProduct, on both estimator paths -- and the codes_refined telemetry
 // fires exactly when a second stage exists. B_q 7 and 8 have no lossless
-// LUTs, so there every block's sums come from the bitwise passes whatever
-// use_batch_estimator says. Under kNone the search returns each code's
-// single-code bitwise estimate exactly, fast-scan sums or not.
+// LUTs, so there every block's sums come from the bitwise passes. Under
+// kNone the search returns each code's bitwise reference estimate exactly,
+// fast-scan sums or not.
 TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
   for (const int query_bits : {4, 7, 8}) {
     for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
@@ -462,41 +568,38 @@ TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
               OracleAllowed(data_, queries_.Row(q), kK, metric, {});
           const std::vector<Neighbor> estimates =
               SingleCodeTopK(index, queries_.Row(q), 600 + q, kK);
-          for (const bool batch : {true, false}) {
-            SearchOptions params = ExhaustiveParams();
-            params.use_batch_estimator = batch;
-            params.seed = 600 + q;
-            const SearchResponse response =
-                index.Search({queries_.Row(q), params});
-            ASSERT_TRUE(response.ok());
-            const std::vector<Neighbor>& got = response.neighbors;
-            const IvfSearchStats& stats = response.stats;
-            const std::string label = std::string(MetricName(metric)) + " B" +
-                                      std::to_string(bits) + " Bq" +
-                                      std::to_string(query_bits) +
-                                      (batch ? " batch" : " scalar") + " q" +
-                                      std::to_string(q);
-            ExpectSameNeighbors(oracle, got, label);
-            if (bits > 1) {
-              EXPECT_GT(stats.codes_refined, 0u) << label;
-            } else {
-              EXPECT_EQ(stats.codes_refined, 0u) << label;
-            }
-            params.policy = RerankPolicy::kNone;
-            const SearchResponse none = index.Search({queries_.Row(q), params});
-            ASSERT_TRUE(none.ok());
-            ExpectSameNeighbors(estimates, none.neighbors, label + " kNone");
+          SearchOptions params = ExhaustiveParams();
+          params.seed = 600 + q;
+          const SearchResponse response =
+              index.Search({queries_.Row(q), params});
+          ASSERT_TRUE(response.ok());
+          const std::vector<Neighbor>& got = response.neighbors;
+          const IvfSearchStats& stats = response.stats;
+          const std::string label = std::string(MetricName(metric)) + " B" +
+                                    std::to_string(bits) + " Bq" +
+                                    std::to_string(query_bits) + " q" +
+                                    std::to_string(q);
+          ExpectSameNeighbors(oracle, got, label);
+          if (bits > 1) {
+            EXPECT_GT(stats.codes_refined, 0u) << label;
+          } else {
+            EXPECT_EQ(stats.codes_refined, 0u) << label;
           }
+          params.policy = RerankPolicy::kNone;
+          const SearchResponse none = index.Search({queries_.Row(q), params});
+          ASSERT_TRUE(none.ok());
+          ExpectSameNeighbors(estimates, none.neighbors, label + " kNone");
         }
       }
     }
   }
 }
 
-// Away from exhaustive settings the batch and non-batch paths still return
-// identical results at every width (the snapshot-threshold pruning of the
-// fused stage-2 kernel is consistent with the walk's live recheck), and the
-// estimate-only policies rank by the full-width estimate on both paths.
+// Away from exhaustive settings the search and the scalar replay of its
+// scan with bitwise sums (tests/scan_reference.h) still return identical
+// results at every width (the snapshot-threshold pruning of the fused
+// stage-2 kernel is consistent with the walk's live recheck), and the
+// estimate-only policies rank by the full-width estimate on both.
 TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
   for (const std::size_t bits : kWidths) {
   // The tombstoned input deletes every 9th id without compacting, so the
@@ -512,14 +615,11 @@ TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
       batch.k = kK;
       batch.nprobe = 4;
       batch.policy = RerankPolicy::kErrorBound;
-      SearchOptions scalar = batch;
-      scalar.use_batch_estimator = false;
       for (std::size_t q = 0; q < kNumQueries; ++q) {
         batch.seed = 700 + q;
-        scalar.seed = 700 + q;
         const SearchResponse batch_out = index.Search({queries_.Row(q), batch});
         const SearchResponse scalar_out =
-            index.Search({queries_.Row(q), scalar});
+            ReferenceSearch(index, queries_.Row(q), batch);
         ASSERT_TRUE(batch_out.ok());
         ASSERT_TRUE(scalar_out.ok());
         ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
@@ -527,8 +627,8 @@ TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
       }
       // kFixedCandidates / kNone rank their pools by the full B_d-bit
       // estimate (every live scanned code is refined -- the estimate must
-      // stand in for the exact distance there), and batch / non-batch still
-      // agree. codes_refined counts the live lanes: tombstones are estimated
+      // stand in for the exact distance there), and the search and the
+      // replay still agree. codes_refined counts the live lanes: tombstones are estimated
       // (codes_estimated) but not refined.
       std::size_t total_dead = 0;
       for (const RerankPolicy policy :
@@ -536,24 +636,21 @@ TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
         SearchOptions params = batch;
         params.policy = policy;
         params.rerank_candidates = 40;
-        SearchOptions params_scalar = params;
-        params_scalar.use_batch_estimator = false;
         for (std::size_t q = 0; q < kNumQueries; ++q) {
           params.seed = 711 + q;
-          params_scalar.seed = 711 + q;
           const SearchResponse batch_out =
               index.Search({queries_.Row(q), params});
           const SearchResponse scalar_out =
-              index.Search({queries_.Row(q), params_scalar});
+              ReferenceSearch(index, queries_.Row(q), params);
           ASSERT_TRUE(batch_out.ok());
           ASSERT_TRUE(scalar_out.ok());
           ExpectSameNeighbors(scalar_out.neighbors, batch_out.neighbors,
                               "pool policy B" + std::to_string(bits));
-          const std::vector<std::uint32_t> order =
-              index.ProbeOrder(queries_.Row(q));
+          std::vector<std::pair<float, std::uint32_t>> order;
+          index.ProbeOrderInto(queries_.Row(q), params.nprobe, &order);
           std::size_t dead = 0;
           for (std::size_t p = 0; p < params.nprobe; ++p) {
-            dead += index.list_tombstones(order[p]);
+            dead += index.list_tombstones(order[p].second);
           }
           total_dead += dead;
           EXPECT_EQ(batch_out.stats.codes_refined,
@@ -607,16 +704,13 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
     }
   }
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    for (const bool batch : {true, false}) {
-      SearchOptions params = ExhaustiveParams();
-      params.use_batch_estimator = batch;
-      params.seed = 800 + q;
-      const SearchResponse want = index.Search({queries_.Row(q), params});
-      const SearchResponse got = loaded.Search({queries_.Row(q), params});
-      ASSERT_TRUE(want.ok());
-      ASSERT_TRUE(got.ok());
-      ExpectSameNeighbors(want.neighbors, got.neighbors, "v4 round trip");
-    }
+    SearchOptions params = ExhaustiveParams();
+    params.seed = 800 + q;
+    const SearchResponse want = index.Search({queries_.Row(q), params});
+    const SearchResponse got = loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want.neighbors, got.neighbors, "v4 round trip");
   }
   std::filesystem::remove(path);
 }
@@ -652,14 +746,11 @@ TEST_F(MultibitSearchTest, LifecycleKeepsMultiBitPayloadConsistent) {
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     const std::vector<Neighbor> oracle =
         OracleAllowed(all, queries_.Row(q), kK, Metric::kL2, allowed);
-    for (const bool batch : {true, false}) {
-      SearchOptions params = ExhaustiveParams();
-      params.use_batch_estimator = batch;
-      params.seed = 900 + q;
-      const SearchResponse got = index.Search({queries_.Row(q), params});
-      ASSERT_TRUE(got.ok());
-      ExpectSameNeighbors(oracle, got.neighbors, "lifecycle B4");
-    }
+    SearchOptions params = ExhaustiveParams();
+    params.seed = 900 + q;
+    const SearchResponse got = index.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(oracle, got.neighbors, "lifecycle B4");
   }
 }
 

@@ -132,20 +132,19 @@ TEST(ObsBucketTest, UniformMedianIsAccurate) {
   EXPECT_NEAR(p50, 500.0, 0.05 * 500.0);
 }
 
-// The engine-side value type shares the same layout and interpolation.
-TEST(ObsBucketTest, LatencyHistogramMatchesObsQuantiles) {
-  LatencyHistogram latency;
+// The tail and the floor of the same uniform 1..1000 stream: the count and
+// maximum are exact, p99 lands in its bucket's band without passing the
+// maximum, and q = 0 resolves inside the first occupied bucket.
+TEST(ObsBucketTest, UniformTailAndFloorQuantiles) {
   Histogram hist;
-  for (int v = 1; v <= 100; ++v) {
-    latency.Record(static_cast<double>(v));
-    hist.Record(static_cast<double>(v));
-  }
+  for (int v = 1; v <= 1000; ++v) hist.Record(static_cast<double>(v));
   const HistogramSnapshot snap = hist.Snapshot();
-  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(latency.Quantile(q), snap.Quantile(q)) << "q=" << q;
-  }
-  EXPECT_EQ(latency.count(), 100u);
-  EXPECT_DOUBLE_EQ(latency.max_micros(), 100.0);
+  EXPECT_EQ(snap.count, 1000u);
+  EXPECT_DOUBLE_EQ(snap.max, 1000.0);
+  EXPECT_GT(snap.Quantile(0.99), 800.0);
+  EXPECT_LE(snap.Quantile(0.99), 1000.0);
+  EXPECT_GE(snap.Quantile(0.0), 1.0);
+  EXPECT_LE(snap.Quantile(0.0), 2.0);
 }
 
 // --------------------------------------------------------------- histogram

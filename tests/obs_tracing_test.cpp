@@ -203,7 +203,8 @@ TEST_F(ObsTracingTest, SampledSubsetIsDeterministicAcrossRuns) {
 
 // Estimator-health cross-check: serve a workload where EVERY live candidate
 // is re-ranked (k > N, so the exact heap never fills and the bound check
-// never prunes; the scalar estimator keeps the offline math identical),
+// never prunes; the scan's estimates are bit-identical to the single-code
+// EstimateDistance, which keeps the offline math identical),
 // then replicate the per-candidate accumulation offline exactly like
 // error_bound_property_test replicates the bound math. Runs under kL2 AND
 // kInnerProduct: negative IP scores are where the tightness gauge used to
@@ -218,7 +219,6 @@ TEST_F(ObsTracingTest, HealthTelemetryMatchesOfflineReplication) {
     SearchOptions params;
     params.k = kN + 10;
     params.nprobe = kNumLists;
-    params.use_batch_estimator = false;  // scalar estimates, replicable below
 
     RunBatch(&engine, params);
     const EngineStatsSnapshot stats = engine.Stats();
@@ -232,13 +232,14 @@ TEST_F(ObsTracingTest, HealthTelemetryMatchesOfflineReplication) {
     double signed_err_sum = 0.0, tightness_sum = 0.0;
     std::vector<float> rotated(encoder.total_bits());
     QuantizedQuery qq;
+    std::vector<std::pair<float, std::uint32_t>> order;
     for (std::size_t q = 0; q < kNumQueries; ++q) {
       const float* query = queries_.Row(q);
       const std::uint64_t seed = SearchEngine::QuerySeed(kSeedBase, q);
       const float query_norm_sq =
           metric == Metric::kL2 ? 0.0f : SquaredNorm(query, index.dim());
       RotateQueryOnce(encoder, query, rotated.data());
-      const auto order = index.ProbeOrderWithDistances(query);
+      index.ProbeOrderInto(query, index.num_lists(), &order);
       for (const auto& [centroid_key, list_id] : order) {
         const auto& ids = index.list_ids(list_id);
         if (ids.empty()) continue;

@@ -1,6 +1,6 @@
-// Tests for scalar quantization: SQ8 range learning / round trips, and the
-// randomized uniform quantizer's unbiasedness (the Eq. 18 property RaBitQ's
-// query quantization rests on).
+// Tests for scalar quantization: the randomized uniform quantizer's
+// unbiasedness (the Eq. 18 property RaBitQ's query quantization rests on)
+// and the dither stream behind it.
 
 #include <gtest/gtest.h>
 
@@ -14,66 +14,6 @@
 
 namespace rabitq {
 namespace {
-
-TEST(ScalarQuantizer8Test, RoundTripWithinStep) {
-  Rng rng(1);
-  Matrix data(200, 16);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data.data()[i] = static_cast<float>(rng.Gaussian()) * 5.0f;
-  }
-  ScalarQuantizer8 sq;
-  ASSERT_TRUE(sq.Train(data).ok());
-  std::vector<std::uint8_t> code(16);
-  std::vector<float> decoded(16);
-  for (std::size_t i = 0; i < 20; ++i) {
-    sq.Encode(data.Row(i), code.data());
-    sq.Decode(code.data(), decoded.data());
-    for (std::size_t j = 0; j < 16; ++j) {
-      // Error bounded by one quantization step (range / 255).
-      EXPECT_NEAR(decoded[j], data.At(i, j), 5.0f * 10.0f / 255.0f + 1e-4f);
-    }
-  }
-}
-
-TEST(ScalarQuantizer8Test, ConstantDimensionIsExact) {
-  Matrix data(10, 2);
-  for (std::size_t i = 0; i < 10; ++i) {
-    data.At(i, 0) = 7.5f;                        // constant
-    data.At(i, 1) = static_cast<float>(i);       // varying
-  }
-  ScalarQuantizer8 sq;
-  ASSERT_TRUE(sq.Train(data).ok());
-  std::uint8_t code[2];
-  float decoded[2];
-  sq.Encode(data.Row(3), code);
-  sq.Decode(code, decoded);
-  EXPECT_FLOAT_EQ(decoded[0], 7.5f);
-}
-
-TEST(ScalarQuantizer8Test, EstimateMatchesDecodedDistance) {
-  Rng rng(2);
-  Matrix data(100, 8);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data.data()[i] = static_cast<float>(rng.Gaussian());
-  }
-  ScalarQuantizer8 sq;
-  ASSERT_TRUE(sq.Train(data).ok());
-  std::vector<float> query(8, 0.25f);
-  std::uint8_t code[8];
-  float decoded[8];
-  sq.Encode(data.Row(0), code);
-  sq.Decode(code, decoded);
-  float manual = 0.0f;
-  for (int j = 0; j < 8; ++j) {
-    manual += (query[j] - decoded[j]) * (query[j] - decoded[j]);
-  }
-  EXPECT_NEAR(sq.EstimateSquaredDistance(query.data(), code), manual, 1e-5f);
-}
-
-TEST(ScalarQuantizer8Test, RejectsEmptyTrainingData) {
-  ScalarQuantizer8 sq;
-  EXPECT_FALSE(sq.Train(Matrix()).ok());
-}
 
 class RandomizedQuantizeParamTest : public ::testing::TestWithParam<int> {};
 

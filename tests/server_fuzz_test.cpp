@@ -24,6 +24,7 @@
 #include "server/net.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "util/crc32.h"
 #include "util/prng.h"
 
 namespace rabitq {
@@ -259,6 +260,42 @@ TEST_F(ServerFuzzTest, MalformedBodiesGetInvalidArgumentWithoutDropping) {
   EXPECT_TRUE(status.ok());
 }
 
+TEST_F(ServerFuzzTest, VersionOneFrameGetsNoResponse) {
+  // A frame of protocol version 1 (whose search-options block carried one
+  // more byte) with a valid CRC: the version check fails it as framing.
+  std::string frame = ValidStatsFrame();
+  const std::uint16_t v1 = 1;
+  std::memcpy(frame.data() + 4, &v1, sizeof(v1));
+  const std::size_t covered = frame.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = Crc32(frame.data(), covered);
+  std::memcpy(frame.data() + covered, &crc, sizeof(crc));
+  EXPECT_FALSE(SendRawAndGotResponse(frame.data(), frame.size()));
+  ExpectServerStillServes();
+}
+
+TEST_F(ServerFuzzTest, SearchWithOutOfRangePolicyGetsInvalidArgument) {
+  std::string body;
+  WireWriter w(&body);
+  w.String("c");
+  WireSearchOptions options;
+  options.policy = 3;
+  EncodeSearchOptions(options, &w);
+  w.U32(0);  // dim (never reached; the options decode must fail first)
+  Socket socket;
+  ASSERT_TRUE(ConnectTcp("127.0.0.1", port(), &socket).ok());
+  std::string frame;
+  EncodeFrame(static_cast<std::uint16_t>(MsgType::kSearch), 5, body, &frame);
+  ASSERT_TRUE(WriteFull(socket.fd(), frame.data(), frame.size()).ok());
+  FrameHeader header;
+  std::vector<std::uint8_t> response;
+  ASSERT_TRUE(ReadResponseFrame(socket.fd(), &header, &response));
+  WireReader r(response.data(), response.size());
+  WireStatus status;
+  ASSERT_TRUE(DecodeStatus(&r, &status));
+  EXPECT_EQ(status.ToStatus().code(), StatusCode::kInvalidArgument);
+  ExpectServerStillServes();
+}
+
 // Integer-overflow probes: size arithmetic on attacker-controlled counts
 // must be overflow-safe, not just bounds-checked. Each case below is a
 // frame that previously multiplied or added its way past a check.
@@ -376,6 +413,23 @@ TEST(ServerProtocolFuzzTest, DecodersRejectTruncatedPayloads) {
                  len);
     SearchResponse decoded;
     EXPECT_FALSE(DecodeSearchResponse(&r, &decoded)) << "len " << len;
+  }
+}
+
+// Only the three RerankPolicy values decode; any other policy byte fails
+// the options block instead of being served under some default policy.
+TEST(ServerProtocolFuzzTest, OutOfRangePolicyFailsToDecode) {
+  for (const int policy : {0, 1, 2, 3, 255}) {
+    WireSearchOptions options;
+    options.policy = static_cast<std::uint8_t>(policy);
+    std::string payload;
+    WireWriter w(&payload);
+    EncodeSearchOptions(options, &w);
+    WireReader r(reinterpret_cast<const std::uint8_t*>(payload.data()),
+                 payload.size());
+    WireSearchOptions decoded;
+    EXPECT_EQ(DecodeSearchOptions(&r, &decoded), policy <= 2)
+        << "policy " << policy;
   }
 }
 

@@ -100,22 +100,27 @@ class ShardedTest : public ::testing::Test {
 
   ShardedIndex BuildSharded(std::size_t num_shards,
                             ShardClustering clustering, const Matrix& data,
-                            std::size_t bits_per_dim = 1) {
+                            std::size_t bits_per_dim = 1,
+                            int query_bits = RabitqConfig{}.query_bits) {
     ShardedIndex index;
     ShardedConfig config;
     config.num_shards = num_shards;
     config.clustering = clustering;
     config.ivf.num_lists = kLists;
     config.rabitq.bits_per_dim = bits_per_dim;
+    config.rabitq.query_bits = query_bits;
     EXPECT_TRUE(index.Build(data, config).ok());
     return index;
   }
 
-  IvfRabitqIndex BuildSingle(const Matrix& data) {
+  IvfRabitqIndex BuildSingle(const Matrix& data,
+                             int query_bits = RabitqConfig{}.query_bits) {
     IvfRabitqIndex index;
     IvfConfig ivf;
     ivf.num_lists = kLists;
-    EXPECT_TRUE(index.Build(data, ivf, RabitqConfig{}).ok());
+    RabitqConfig rabitq;
+    rabitq.query_bits = query_bits;
+    EXPECT_TRUE(index.Build(data, ivf, rabitq).ok());
     return index;
   }
 
@@ -126,38 +131,41 @@ class ShardedTest : public ::testing::Test {
 // The tentpole acceptance criterion: under shared clustering, scatter-gather
 // search over any shard count returns BIT-IDENTICAL results to the plain
 // single-shard index -- same ids, same distances -- for every re-rank
-// policy, both estimator paths, duplicate-distance ties included.
+// policy, with LUT sums (the default B_q) and bitwise sums (B_q = 8),
+// duplicate-distance ties included.
 TEST_F(ShardedTest, MatchesSingleShardBitIdenticallyAllPolicies) {
-  const IvfRabitqIndex single = BuildSingle(data_);
   std::vector<SearchOptions> param_sets;
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    for (const bool batch : {true, false}) {
-      SearchOptions params;
-      params.k = 10;
-      params.nprobe = 6;
-      params.policy = policy;
-      params.rerank_candidates = 40;  // < candidate pool: budget split matters
-      params.use_batch_estimator = batch;
-      param_sets.push_back(params);
-    }
+    SearchOptions params;
+    params.k = 10;
+    params.nprobe = 6;
+    params.policy = policy;
+    params.rerank_candidates = 40;  // < candidate pool: budget split matters
+    param_sets.push_back(params);
   }
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{3}, EnvShards(4)}) {
-    const ShardedIndex sharded =
-        BuildSharded(shards, ShardClustering::kShared, data_);
-    ASSERT_EQ(sharded.num_shards(), shards);
-    ASSERT_EQ(sharded.size(), single.size());
-    for (SearchOptions params : param_sets) {
-      for (std::size_t q = 0; q < kNumQueries; ++q) {
-        params.seed = 9000 + q;
-        const SearchResponse want = single.Search({queries_.Row(q), params});
-        const SearchResponse got = sharded.Search({queries_.Row(q), params});
-        ASSERT_TRUE(want.ok());
-        ASSERT_TRUE(got.ok());
-        ExpectSameNeighbors(want.neighbors, got.neighbors, "sharded-vs-single");
+  for (const int query_bits : {RabitqConfig{}.query_bits, 8}) {
+    const IvfRabitqIndex single = BuildSingle(data_, query_bits);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{3}, EnvShards(4)}) {
+      const ShardedIndex sharded = BuildSharded(
+          shards, ShardClustering::kShared, data_, 1, query_bits);
+      ASSERT_EQ(sharded.num_shards(), shards);
+      ASSERT_EQ(sharded.size(), single.size());
+      for (SearchOptions params : param_sets) {
+        for (std::size_t q = 0; q < kNumQueries; ++q) {
+          params.seed = 9000 + q;
+          const SearchResponse want =
+              single.Search({queries_.Row(q), params});
+          const SearchResponse got =
+              sharded.Search({queries_.Row(q), params});
+          ASSERT_TRUE(want.ok());
+          ASSERT_TRUE(got.ok());
+          ExpectSameNeighbors(want.neighbors, got.neighbors,
+                              "sharded-vs-single");
+        }
       }
     }
   }

@@ -307,16 +307,13 @@ TEST(SnapshotCompatTest, V5GoldenLoadsMatchesRebuildAndReSavesAsV6) {
 
   IvfRabitqIndex rebuilt;
   BuildGoldenV5Recipe(&rebuilt);
-  for (const bool batch : {true, false}) {
-    SearchOptions params;
-    params.k = 10;
-    params.nprobe = 4;
-    params.use_batch_estimator = batch;
-    const auto want = SearchAll(rebuilt, params);
-    const auto got = SearchAll(golden, params);
-    for (std::size_t q = 0; q < want.size(); ++q) {
-      ExpectSameNeighbors(want[q], got[q]);
-    }
+  SearchOptions params;
+  params.k = 10;
+  params.nprobe = 4;
+  const auto want = SearchAll(rebuilt, params);
+  const auto got = SearchAll(golden, params);
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ExpectSameNeighbors(want[q], got[q]);
   }
 
   const std::string resaved = TempPath("golden_v5_as_v6.rbq");
@@ -358,16 +355,13 @@ TEST(SnapshotCompatTest, V6GoldenReSavesByteIdenticallyAndMatchesRebuild) {
   EXPECT_TRUE(ReadFileBytes(fresh) == golden_bytes)
       << "fresh v6 build saves different bytes than the committed file";
   std::remove(fresh.c_str());
-  for (const bool batch : {true, false}) {
-    SearchOptions params;
-    params.k = 10;
-    params.nprobe = 4;
-    params.use_batch_estimator = batch;
-    const auto want = SearchAll(rebuilt, params);
-    const auto got = SearchAll(golden, params);
-    for (std::size_t q = 0; q < want.size(); ++q) {
-      ExpectSameNeighbors(want[q], got[q]);
-    }
+  SearchOptions params;
+  params.k = 10;
+  params.nprobe = 4;
+  const auto want = SearchAll(rebuilt, params);
+  const auto got = SearchAll(golden, params);
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ExpectSameNeighbors(want[q], got[q]);
   }
 }
 
